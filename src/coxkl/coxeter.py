@@ -11,8 +11,8 @@ by (length, word), and every other ordering in the package derives from that.
 
 Infinite matrices are rejected: the diagram is first checked against the
 classification of finite types (any diagram outside the catalog presents an
-infinite group), and the enumeration itself enforces a configurable element
-count bound as a second line of defense.
+infinite group).  The catalog order is compared with a configurable element
+bound before enumerating, and the enumeration enforces the bound again.
 
 Matrix entries equal to 5 force golden-ratio arithmetic in the reflection
 representation; scalars are therefore pairs (a, b) meaning a + b*phi with
@@ -294,8 +294,11 @@ class CoxeterSystem:
                 "the Coxeter matrix presents an infinite group (diagram outside the finite catalog)"
             )
         self.type_label, expected_order = classified
+        if expected_order > max_elements:
+            raise InfiniteGroupError(f"order {expected_order} exceeds the element bound {max_elements}")
         self._enumerate(max_elements)
-        assert self.order == expected_order, "enumeration disagrees with the catalog order"
+        if self.order != expected_order:
+            raise CoxeterError("enumeration disagrees with the catalog order")
         self._bruhat_cache: dict[tuple[int, int], bool] = {}
 
     # -- construction helpers -------------------------------------------
@@ -563,11 +566,18 @@ class CoxeterSystem:
     def inverse(self, a: Element) -> Element:
         return self._elements[self._inv[self._id(a)]]
 
-    def apply_gen(self, a: Element, s: int, side: str = "right") -> Element:
+    def _gen_table(self, s: int, side: str) -> list[list[int]]:
+        # The multiply-by-generator table of `side`, once s and side are checked.
         if not 0 <= s < self.rank:
             raise CoxeterError(f"generator index {s} out of range")
-        table = self._right if side == "right" else self._left
-        return self._elements[table[self._id(a)][s]]
+        if side == "right":
+            return self._right
+        if side == "left":
+            return self._left
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+    def apply_gen(self, a: Element, s: int, side: str = "right") -> Element:
+        return self._elements[self._gen_table(s, side)[self._id(a)][s]]
 
     def descents(self, a: Element, side: str = "right") -> frozenset[int]:
         """Generator indices s with l(as) < l(a) (or l(sa) < l(a) on the left)."""
@@ -685,9 +695,3 @@ class CoxeterSystem:
         members = self.parabolic_elements(I)
         top = members[-1].length
         return LaurentPoly((top - 2 * z.length, 1) for z in members)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

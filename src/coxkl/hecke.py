@@ -18,6 +18,11 @@ sum_i h^i_{y,x} q^((l(x)-l(y)-i)/2), where h^i is the coefficient of v^i.
 numbers appear as C'_x = sum h^i_{y,x} q^(-i/2) T~_y; only the v-form is
 implemented.)
 
+All arithmetic is one generator step, ``_step``: a raw element times H_s
+(``mul_by_gen`` and ``*``), bar(H_s) = H_s + (v - v^-1) (``bar``) or
+uH(s) = H_s + v (the KL recursion and ``bott_samelson``), on the right or on
+the left.  The constants ``_H``, ``_BAR_H`` and ``_UH`` hold those actions.
+
 KL elements are computed by the standard recursion on the smallest left
 descent and memoized; the memo table can be persisted to a JSON cache keyed
 by a hash of the Coxeter matrix and generator order.
@@ -29,7 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .coxeter import CoxeterError, CoxeterSystem, Element
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _acc, _mac
 
 __all__ = ["MalformedKL", "HeckeElt", "HeckeAlgebra", "CACHE_SCHEMA"]
 
@@ -40,15 +45,31 @@ class MalformedKL(RuntimeError):
     """An h-polynomial violates the KL degree or parity constraints (a bug)."""
 
 
-def _acc(dst: dict[int, int], src: Mapping[int, int], shift: int, factor: int) -> None:
-    # dst += factor * v^shift * src, dropping zeros.
-    for e, c in src.items():
-        k = e + shift
-        n = dst.get(k, 0) + c * factor
-        if n:
-            dst[k] = n
-        else:
-            dst.pop(k, None)
+Raw = dict[int, dict[int, int]]  # element id -> {exponent: coefficient}
+
+# H_y (H_s + c) = H_ys + c H_y when ys > y and H_ys + (c + v^-1 - v) H_y
+# when ys < y, by H_s^2 = H_e + (v^-1 - v) H_s.  Each constant holds the two
+# coefficients of H_y, (ys > y, ys < y), as (shift, factor) pairs.
+_H = ((), ((-1, 1), (1, -1)))
+_BAR_H = (((1, 1), (-1, -1)), ())
+_UH = (((1, 1),), ((-1, 1),))
+
+
+def _step(W: CoxeterSystem, raw: Raw, s: int, gen, side: str = "right") -> Raw:
+    """raw * gen(s), or gen(s) * raw when side is "left"; some maps may be empty."""
+    table = W._gen_table(s, side)
+    lengths = W._lengths
+    up, down = gen
+    out: Raw = {}
+    for yi, p in raw.items():
+        ti = table[yi][s]
+        _acc(out.setdefault(ti, {}), p)
+        terms = up if lengths[ti] > lengths[yi] else down
+        if terms:
+            d = out.setdefault(yi, {})
+            for k, f in terms:
+                _acc(d, p, k, f)
+    return out
 
 
 class HeckeElt:
@@ -128,51 +149,30 @@ class HeckeElt:
         H_y H_s = H_{ys} when ys > y and H_{ys} + (v^-1 - v) H_y otherwise;
         the left case is symmetric.
         """
+        return _from_raw(self.system, _step(self.system, self._raw(), s, _H, side))
+
+    def _raw(self) -> Raw:
+        # Shares the coefficient maps, which _step and _mac only read.
+        return {self.system._id(el): p._c for el, p in self._terms.items()}
+
+    def _fold(self, start: Raw, gen, bar: bool = False) -> HeckeElt:
+        # The sum over the terms c H_x of self of start * gen(s_1)...gen(s_k) * c
+        # (bar(c) when bar is set), where s_1...s_k is the reduced word of x.
         W = self.system
-        if not 0 <= s < W.rank:
-            raise CoxeterError(f"generator index {s} out of range")
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        table = W._right if side == "right" else W._left
-        lengths = W._lengths
-        out: dict[int, dict[int, int]] = {}
+        total: Raw = {}
         for el, p in self._terms.items():
-            yi = W._id(el)
-            ti = table[yi][s]
-            _acc(out.setdefault(ti, {}), p._c, 0, 1)
-            if lengths[ti] < lengths[yi]:
-                d = out.setdefault(yi, {})
-                _acc(d, p._c, -1, 1)
-                _acc(d, p._c, 1, -1)
-        return _from_raw(W, out)
+            cur = start
+            for s in el.word:
+                cur = _step(W, cur, s, gen)
+            c = p.bar()._c if bar else p._c
+            for yi, poly in cur.items():
+                _mac(total.setdefault(yi, {}), poly, c)
+        return _from_raw(W, total)
 
     def _product(self, other: HeckeElt) -> HeckeElt:
         if self.system is not other.system:
             raise CoxeterError("cannot multiply elements over different systems")
-        W = self.system
-        right = W._right
-        lengths = W._lengths
-        # self * H_y is computed by folding mul_by_gen along a reduced word
-        # of y, then scaled by c_y and accumulated.
-        start = {W._id(el): dict(p._c) for el, p in self._terms.items()}
-        total: dict[int, dict[int, int]] = {}
-        for el, p in other._terms.items():
-            cur = start
-            for s in el.word:
-                nxt: dict[int, dict[int, int]] = {}
-                for yi, poly in cur.items():
-                    ti = right[yi][s]
-                    _acc(nxt.setdefault(ti, {}), poly, 0, 1)
-                    if lengths[ti] < lengths[yi]:
-                        d = nxt.setdefault(yi, {})
-                        _acc(d, poly, -1, 1)
-                        _acc(d, poly, 1, -1)
-                cur = {yi: d for yi, d in nxt.items() if d}
-            for yi, poly in cur.items():
-                d = total.setdefault(yi, {})
-                for e2, c2 in p._c.items():
-                    _acc(d, poly, e2, c2)
-        return _from_raw(W, total)
+        return other._fold(self._raw(), _H)
 
     def bar(self) -> HeckeElt:
         """The bar involution: v -> v^-1 and H_x -> (H_{x^-1})^-1.
@@ -180,31 +180,7 @@ class HeckeElt:
         Computed additively from bar(H_s) = H_s + (v - v^-1) H_e folded along
         the reduced word of each support element.
         """
-        W = self.system
-        right = W._right
-        lengths = W._lengths
-        total: dict[int, dict[int, int]] = {}
-        for el, p in self._terms.items():
-            cur: dict[int, dict[int, int]] = {0: {0: 1}}
-            for s in el.word:
-                # Multiply on the right by bar(H_s) = H_s + (v - v^-1) H_e.
-                nxt: dict[int, dict[int, int]] = {}
-                for yi, poly in cur.items():
-                    ti = right[yi][s]
-                    _acc(nxt.setdefault(ti, {}), poly, 0, 1)
-                    if lengths[ti] > lengths[yi]:
-                        d = nxt.setdefault(yi, {})
-                        _acc(d, poly, 1, 1)
-                        _acc(d, poly, -1, -1)
-                    # descending case: (v^-1 - v) from the quadratic relation
-                    # cancels the (v - v^-1) scalar term, leaving H_{ys} alone
-                cur = {yi: d for yi, d in nxt.items() if d}
-            barp = {-e: c for e, c in p._c.items()}
-            for yi, poly in cur.items():
-                d = total.setdefault(yi, {})
-                for e2, c2 in barp.items():
-                    _acc(d, poly, e2, c2)
-        return _from_raw(W, total)
+        return self._fold({0: {0: 1}}, _BAR_H, bar=True)
 
     def __repr__(self) -> str:
         W = self.system
@@ -214,7 +190,7 @@ class HeckeElt:
         return "HeckeElt(" + " + ".join(bits) + ")"
 
 
-def _from_raw(system: CoxeterSystem, raw: dict[int, dict[int, int]]) -> HeckeElt:
+def _from_raw(system: CoxeterSystem, raw: Raw) -> HeckeElt:
     return HeckeElt(
         system,
         {system._el(i): LaurentPoly._raw(d) for i, d in raw.items() if d},
@@ -236,13 +212,13 @@ class HeckeAlgebra:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         # xid -> yid -> {exponent: coefficient}; entries are frozen once stored.
-        self._h: dict[int, dict[int, dict[int, int]]] = {}
+        self._h: dict[int, Raw] = {}
         self.computed_count = 0
         self.persisted = False  # True once backed by a cache file
 
     # -- KL recursion ---------------------------------------------------
 
-    def _kl_raw(self, xi: int) -> dict[int, dict[int, int]]:
+    def _kl_raw(self, xi: int) -> Raw:
         got = self._h.get(xi)
         if got is not None:
             return got
@@ -251,20 +227,14 @@ class HeckeAlgebra:
         lengths = W._lengths
         word = W._words[xi]
         if not word:
-            res: dict[int, dict[int, int]] = {xi: {0: 1}}
+            res: Raw = {xi: {0: 1}}
         else:
             # Pivot on the smallest left descent s (the first letter of the
             # ShortLex word); with u = sx the product uH(s) uH(u) equals
             # uH(x) + sum of mu(z, u) uH(z) over z < u with sz < z.
             s = word[0]
-            ui = left[xi][s]
-            C = self._kl_raw(ui)
-            T: dict[int, dict[int, int]] = {}
-            for yi, p in C.items():
-                syi = left[yi][s]
-                _acc(T.setdefault(syi, {}), p, 0, 1)
-                up = lengths[syi] > lengths[yi]
-                _acc(T.setdefault(yi, {}), p, 1 if up else -1, 1)
+            C = self._kl_raw(left[xi][s])
+            T = _step(W, C, s, _UH, "left")
             for zi, p in C.items():
                 if lengths[left[zi][s]] < lengths[zi]:
                     m = p.get(1, 0)
@@ -272,12 +242,16 @@ class HeckeAlgebra:
                         for wi, pw in self._kl_raw(zi).items():
                             _acc(T.setdefault(wi, {}), pw, 0, -m)
             res = {yi: d for yi, d in T.items() if d}
-            assert res[xi] == {0: 1}, "KL element must be unitriangular"
-            assert all(
-                min(d) >= 1 and all((e - lengths[xi] + lengths[yi]) % 2 == 0 for e in d)
+            if res.get(xi) != {0: 1}:
+                raise MalformedKL(f"uH({W.format_element(W._el(xi))}) must be unitriangular")
+            if any(
+                min(d) < 1 or any((e - lengths[xi] + lengths[yi]) % 2 for e in d)
                 for yi, d in res.items()
                 if yi != xi
-            ), "h-polynomials must lie in v*Z[v] with the length parity"
+            ):
+                raise MalformedKL(
+                    f"h(y, {W.format_element(W._el(xi))}) must lie in v*Z[v] with the length parity"
+                )
         self._h[xi] = res
         self.computed_count += 1
         return res
@@ -327,7 +301,7 @@ class HeckeAlgebra:
             raise CoxeterError("element does not belong to this algebra's system")
         W = self.system
         rem = {W._id(el): dict(p._c) for el, p in a.terms.items()}
-        out: dict[int, dict[int, int]] = {}
+        out: Raw = {}
         while rem:
             top = max(W._lengths[yi] for yi in rem)
             layer = [yi for yi in rem if W._lengths[yi] == top]
@@ -335,11 +309,8 @@ class HeckeAlgebra:
                 c = rem.pop(xi)
                 out[xi] = c
                 for yi, hp in self._kl_raw(xi).items():
-                    if yi == xi:
-                        continue
-                    d = rem.setdefault(yi, {})
-                    for e2, c2 in c.items():
-                        _acc(d, hp, e2, -c2)
+                    if yi != xi:
+                        _mac(rem.setdefault(yi, {}), hp, c, -1)
             rem = {yi: d for yi, d in rem.items() if d}
         return {
             W._el(xi): LaurentPoly(d)
@@ -354,10 +325,10 @@ class HeckeAlgebra:
         corresponding iterated tensor (Bott-Samelson) object.
         """
         W = self.system
-        acc = HeckeElt.standard(W, W.identity)
+        raw: Raw = {0: {0: 1}}
         for s in word:
-            acc = acc.mul_by_gen(s) + LaurentPoly.monomial(1) * acc
-        return self.to_kl_basis(acc)
+            raw = _step(W, raw, s, _UH)
+        return self.to_kl_basis(_from_raw(W, raw))
 
     # -- persistence -------------------------------------------------------
 
@@ -398,7 +369,7 @@ class HeckeAlgebra:
         if data.get("coxeter_hash") != W.fingerprint:
             return False
         try:
-            loaded: dict[int, dict[int, dict[int, int]]] = {}
+            loaded: dict[int, Raw] = {}
             for xw, table in data["kl"].items():
                 xi = W._id(W.parse_element(xw))
                 loaded[xi] = {

@@ -28,6 +28,24 @@ class InexactDivision(ArithmeticError):
 CoeffSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
+def _acc(dst: dict[int, int], src: Mapping[int, int], shift: int = 0, factor: int = 1) -> None:
+    # dst += factor * v^shift * src over raw {exponent: coefficient} maps,
+    # dropping zeros.  The one coefficient loop of the package.
+    for e, c in src.items():
+        k = e + shift
+        n = dst.get(k, 0) + c * factor
+        if n:
+            dst[k] = n
+        else:
+            dst.pop(k, None)
+
+
+def _mac(dst: dict[int, int], a: Mapping[int, int], b: Mapping[int, int], factor: int = 1) -> None:
+    # dst += factor * a * b.
+    for e, c in b.items():
+        _acc(dst, a, e, c * factor)
+
+
 class LaurentPoly:
     """An integer Laurent polynomial, immutable after construction."""
 
@@ -114,12 +132,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         c = dict(self._c)
-        for e, a in other._c.items():
-            na = c.get(e, 0) + a
-            if na:
-                c[e] = na
-            else:
-                del c[e]
+        _acc(c, other._c)
         return LaurentPoly._raw(c)
 
     __radd__ = __add__
@@ -141,14 +154,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         c: dict[int, int] = {}
-        for e1, a1 in self._c.items():
-            for e2, a2 in other._c.items():
-                e = e1 + e2
-                na = c.get(e, 0) + a1 * a2
-                if na:
-                    c[e] = na
-                else:
-                    del c[e]
+        _mac(c, self._c, other._c)
         return LaurentPoly._raw(c)
 
     __rmul__ = __mul__
@@ -297,9 +303,3 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly('{self.format()}')"
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

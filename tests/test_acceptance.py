@@ -213,18 +213,24 @@ def test_criterion_11_cli_determinism(tmp_path):
     import sys
 
     t0 = time.perf_counter()
-    scenarios = json.loads((pathlib.Path(__file__).parent / "data" / "scenario.json").read_text())
+    data = pathlib.Path(__file__).parent / "data"
+    scenarios = json.loads((data / "scenario.json").read_text())
+    # Recorded once from a known-good build: a change that alters every run
+    # the same way still fails here.
+    golden = json.loads((data / "scenario_golden.json").read_text())
+    assert [g["argv"] for g in golden] == scenarios
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
     runs = []
     for _ in range(2):  # first run cold, second warm from the same caches
         outputs = []
-        for args in scenarios:
+        for args, g in zip(scenarios, golden):
             status, out = run_cli(list(args), env_cache=cache_dir)
-            assert status == 0, args
+            assert status == g["status"] == 0, args
             outputs.append(out.encode())
         runs.append(outputs)
     assert runs[0] == runs[1]
+    assert runs[0] == [g["stdout"].encode() for g in golden]
     nocache = [run_cli(list(args))[1].encode() for args in scenarios]
     assert nocache == runs[0]
     # spot-check byte identity across separate processes as well
@@ -242,4 +248,4 @@ def test_criterion_11_cli_determinism(tmp_path):
         assert procs[0].returncode == procs[1].returncode == 0
         assert procs[0].stdout == procs[1].stdout
         assert procs[0].stdout == run_cli(list(args))[1].encode()
-    report(11, "byte-identical CLI output across runs and across warm/cold cache", t0)
+    report(11, "CLI output byte-identical to the golden record, across runs and warm/cold cache", t0)

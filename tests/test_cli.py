@@ -122,6 +122,20 @@ def test_internal_inconsistency_exit_code(monkeypatch):
     assert status == 2
 
 
+def test_tampered_cache_exits_2(tmp_path):
+    from coxkl import CoxeterSystem, HeckeAlgebra
+
+    W = CoxeterSystem.from_type("A2")
+    a = HeckeAlgebra(W)
+    ti = W._id(W.parse_element("t"))
+    a._h[ti] = {W._id(W.identity): {2: 1}, ti: {0: 1}}  # wrong parity
+    path = tmp_path / "kl.json"
+    a.save_cache(path)
+    status, out = run_cli(["--type", "A2", "--cmd", "h", "--y", "e", "--x", "st", "--cache", str(path)])
+    assert status == 2
+    assert out == ""
+
+
 def test_matrix_file_input(tmp_path):
     path = tmp_path / "b2.json"
     path.write_text(json.dumps({"rank": 2, "matrix": [[1, 4], [4, 1]], "names": ["a", "b"]}))

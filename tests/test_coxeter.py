@@ -88,6 +88,15 @@ def test_element_bound_enforced():
         CoxeterSystem.from_type("A3", max_elements=10)
 
 
+def test_element_bound_checked_before_enumerating(monkeypatch):
+    def enumerate_(self, max_elements):
+        pytest.fail("enumerated a group whose catalog order is above the bound")
+
+    monkeypatch.setattr(CoxeterSystem, "_enumerate", enumerate_)
+    with pytest.raises(InfiniteGroupError):
+        CoxeterSystem.from_type("F4", max_elements=1000)
+
+
 def test_json_input(tmp_path):
     data = {"rank": 2, "matrix": [[1, 4], [4, 1]], "names": ["a", "b"]}
     W = CoxeterSystem.from_json(data)
@@ -181,6 +190,8 @@ def test_descents_match_length_drops(code, system):
         left = {s for s in range(W.rank) if W.apply_gen(a, s, "left").length < a.length}
         assert W.descents(a, "right") == frozenset(right)
         assert W.descents(a, "left") == frozenset(left)
+    with pytest.raises(ValueError):
+        W.apply_gen(W.longest_element(), 0, "rigth")
 
 
 # -- Bruhat order -------------------------------------------------------------

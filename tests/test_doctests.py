@@ -1,0 +1,13 @@
+import doctest
+
+import pytest
+
+import coxkl.coxeter
+import coxkl.laurent
+
+
+@pytest.mark.parametrize("module", [coxkl.laurent, coxkl.coxeter])
+def test_docstring_examples(module):
+    result = doctest.testmod(module)
+    assert result.attempted > 0
+    assert result.failed == 0

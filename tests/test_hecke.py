@@ -37,6 +37,10 @@ def test_mul_by_gen_examples(system):
     # left side
     assert H(W, "st").mul_by_gen(0, "left") == H(W, "t") + LaurentPoly({-1: 1, 1: -1}) * H(W, "st")
     assert H(W, "t").mul_by_gen(0, "left") == H(W, "st")
+    with pytest.raises(ValueError):
+        H(W, "t").mul_by_gen(0, "up")
+    with pytest.raises(CoxeterError):
+        H(W, "t").mul_by_gen(-1)
 
 
 def test_product_examples(system, algebra):
@@ -230,6 +234,13 @@ def test_bott_samelson_examples(system, algebra):
     }
 
 
+def test_bott_samelson_rejects_bad_generator(system, algebra):
+    W, A = system("A2"), algebra("A2")
+    for word in ([0, 2], [-1], [1, 0, 5]):
+        with pytest.raises(CoxeterError):
+            A.bott_samelson(word)
+
+
 @pytest.mark.parametrize("code", ["A3", "B2"])
 def test_bott_samelson_positivity_random(code, system, algebra):
     W, A = system(code), algebra(code)
@@ -306,6 +317,17 @@ def test_malformed_kl_guard(system):
     a._h[xi] = {W._id(W.identity): {5: 1}, xi: {0: 1}}  # impossible degree
     with pytest.raises(MalformedKL):
         a.kl_polynomial(W.identity, W.parse_element("st"))
+
+
+def test_tampered_memo_raises_malformed_kl(system):
+    # h_{e,t} = v^2 has the wrong parity; building uH(st) on top of it must
+    # fail loudly, also under python -O.
+    W = system("A2")
+    a = HeckeAlgebra(W)
+    ti = W._id(W.parse_element("t"))
+    a._h[ti] = {W._id(W.identity): {2: 1}, ti: {0: 1}}
+    with pytest.raises(MalformedKL):
+        a.kl_element(W.parse_element("st"))
 
 
 @pytest.mark.parametrize("code", ["A3", "B2"])
