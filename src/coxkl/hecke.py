@@ -197,6 +197,18 @@ def _from_raw(system: CoxeterSystem, raw: Raw) -> HeckeElt:
     )
 
 
+def _kl_p(h: Mapping[int, int], d: int, y: Element, x: Element) -> dict[int, int]:
+    # P_{y,x} as {exponent: coefficient} from the raw h_{y,x}, d = l(x) - l(y);
+    # the one check that h has the degrees and parity of a KL family member.
+    out: dict[int, int] = {}
+    for i, c in h.items():
+        j = d - i
+        if j < 0 or j % 2:
+            raise MalformedKL(f"h_poly({y!r}, {x!r}) = {LaurentPoly(h)} is not a valid KL family member")
+        out[j // 2] = c
+    return out
+
+
 class HeckeAlgebra:
     """KL basis machinery over one Coxeter system, with a memoized table.
 
@@ -275,15 +287,7 @@ class HeckeAlgebra:
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
         """P_{y,x}(q), from h_{y,x}(v) = v^(l(x)-l(y)) P_{y,x}(v^-2)."""
-        h = self.h_poly(y, x)
-        d = x.length - y.length
-        out: dict[int, int] = {}
-        for i, c in h.pairs():
-            j = d - i
-            if j < 0 or j % 2:
-                raise MalformedKL(f"h_poly({y!r}, {x!r}) = {h} is not a valid KL family member")
-            out[j // 2] = c
-        return LaurentPoly(out)
+        return LaurentPoly(_kl_p(self.h_poly(y, x)._c, x.length - y.length, y, x))
 
     def mu(self, y: Element, x: Element) -> int:
         """The coefficient of v in h_{y,x}; drives the recursion."""

@@ -277,6 +277,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it must hash like it.
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(tuple(sorted(self._c.items())))
 
     def format(self, var: str = "v") -> str:

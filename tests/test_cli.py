@@ -126,14 +126,37 @@ def test_tampered_cache_exits_2(tmp_path):
     from coxkl import CoxeterSystem, HeckeAlgebra
 
     W = CoxeterSystem.from_type("A2")
-    a = HeckeAlgebra(W)
-    ti = W._id(W.parse_element("t"))
-    a._h[ti] = {W._id(W.identity): {2: 1}, ti: {0: 1}}  # wrong parity
-    path = tmp_path / "kl.json"
-    a.save_cache(path)
-    status, out = run_cli(["--type", "A2", "--cmd", "h", "--y", "e", "--x", "st", "--cache", str(path)])
-    assert status == 2
-    assert out == ""
+    cases = [
+        ("t", {2: 1}, ["--cmd", "h", "--y", "e", "--x", "st"]),  # wrong parity
+        ("st", {5: 1}, ["--cmd", "audit"]),  # impossible degree
+    ]
+    for x, h, argv in cases:
+        a = HeckeAlgebra(W)
+        xi = W._id(W.parse_element(x))
+        a._h[xi] = {W._id(W.identity): h, xi: {0: 1}}
+        path = tmp_path / f"kl-{x}.json"
+        a.save_cache(path)
+        status, out = run_cli(["--type", "A2", *argv, "--cache", str(path)])
+        assert status == 2, argv
+        assert out == "", argv
+
+
+def test_audit_golden_bytes():
+    # SHA-256 of stdout and the exit status of --cmd audit on four groups in
+    # every format, recorded from the per-pair audit before it shared one
+    # verdict between reports with equal (h, d).
+    import hashlib
+
+    golden = json.loads((DATA / "audit_golden.json").read_text())
+    assert {(g["argv"][1], g["argv"][-1]) for g in golden} == {
+        (code, fmt) for code in ("A3", "B3", "H3", "A4") for fmt in cli.FORMATS
+    }
+    for g in golden:
+        status, out = run_cli(list(g["argv"]))
+        raw = out.encode()
+        assert (status, len(raw), hashlib.sha256(raw).hexdigest()) == (
+            g["status"], g["bytes"], g["sha256"]
+        ), g["argv"]
 
 
 def test_matrix_file_input(tmp_path):

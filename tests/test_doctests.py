@@ -4,9 +4,10 @@ import pytest
 
 import coxkl.coxeter
 import coxkl.laurent
+import coxkl.lefschetz
 
 
-@pytest.mark.parametrize("module", [coxkl.laurent, coxkl.coxeter])
+@pytest.mark.parametrize("module", [coxkl.laurent, coxkl.coxeter, coxkl.lefschetz])
 def test_docstring_examples(module):
     result = doctest.testmod(module)
     assert result.attempted > 0

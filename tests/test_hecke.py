@@ -7,6 +7,7 @@ import pytest
 from coxkl.coxeter import CoxeterError
 from coxkl.hecke import HeckeAlgebra, HeckeElt, MalformedKL
 from coxkl.laurent import LaurentPoly
+from coxkl.lefschetz import lefschetz_audit
 
 from oracles import kl_basis_bruteforce
 
@@ -328,6 +329,13 @@ def test_tampered_memo_raises_malformed_kl(system):
     a._h[ti] = {W._id(W.identity): {2: 1}, ti: {0: 1}}
     with pytest.raises(MalformedKL):
         a.kl_element(W.parse_element("st"))
+    # h_{e,st} = v^5 has an impossible degree; the audit reads the memo rows
+    # directly and shares verdicts between pairs, and must still refuse it.
+    a = HeckeAlgebra(W)
+    sti = W._id(W.parse_element("st"))
+    a._h[sti] = {W._id(W.identity): {5: 1}, sti: {0: 1}}
+    with pytest.raises(MalformedKL):
+        lefschetz_audit(a)
 
 
 @pytest.mark.parametrize("code", ["A3", "B2"])

@@ -103,6 +103,12 @@ def test_normalization_and_equality():
     assert LaurentPoly([(0, 2), (0, 3)]) == LaurentPoly.monomial(0, 5)
     assert one == 1 and zero == 0
     assert hash(P((1, 2))) == hash(LaurentPoly({1: 2}))
+    # equal objects hash equally, also across int and LaurentPoly
+    assert LaurentPoly.monomial(0, 5) == 5 and hash(LaurentPoly.monomial(0, 5)) == hash(5)
+    assert zero == 0 and hash(zero) == hash(0)
+    assert hash(LaurentPoly.monomial(0, -1)) == hash(-1)
+    assert {5: "a"}.get(LaurentPoly.monomial(0, 5)) == "a"
+    assert {LaurentPoly.one(): "b"}.get(1) == "b"
     with pytest.raises(TypeError):
         LaurentPoly({0: 1.5})
 

@@ -137,6 +137,26 @@ def test_audit_passes(code, algebra):
     assert len(result.ih_reports) == W.order
 
 
+@pytest.mark.parametrize("code", ["A3", "B3", "H3"])
+def test_audit_matches_per_pair_referee(code, algebra):
+    # The audit shares one verdict between pairs with equal (h, d) and sums
+    # IH series from the raw memo; the per-pair functions referee each report.
+    A = algebra(code)
+    W = A.system
+    result = lefschetz_audit(A)
+    assert [(r.y, r.x) for r in result.reports] == [
+        (y, x) for x in W.all_elements() for y in A.kl_element(x).support()
+    ]
+    for rep in result.reports:
+        assert rep == local_lefschetz_poly(A, rep.y, rep.x)
+    assert [r.x for r in result.ih_reports] == list(W.all_elements())
+    for ihr in result.ih_reports:
+        poly = ih_poincare(A, ihr.x)
+        assert (ihr.x_label, ihr.poly, ihr.palindromic) == (
+            W.format_element(ihr.x), poly, poly.is_palindromic(Fraction(ihr.x.length, 2))
+        )
+
+
 def test_report_json_lines(system, algebra):
     W, A = system("A2"), algebra("A2")
     rep = local_lefschetz_poly(A, W.identity, W.parse_element("sts"))
