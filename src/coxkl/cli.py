@@ -6,6 +6,10 @@ parabolic subset).  Elements are addressed by concatenated generator names
 ("s2s1s3s2", "e" for the identity); output is deterministic byte-for-byte
 for a fixed configuration, whatever the cache state.
 
+Each command is one function in ``_COMMANDS``.  It computes its data once
+and passes lazy json, csv and text rows to ``_render``, the one place where
+the formats differ, so only the chosen format is ever formatted.
+
 Exit status: 0 on success, 1 on a usage error, 2 on an internal
 inconsistency (an inexact division, a malformed KL family, or a failed
 audit check).
@@ -16,39 +20,22 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from itertools import chain
 
 from .blocks import andersen_table, equivariant_hom_series, make_block
 from .coxeter import CoxeterError, CoxeterSystem
 from .hecke import HeckeAlgebra, MalformedKL
-from .laurent import InexactDivision, LaurentPoly
+from .laurent import InexactDivision
 from .lefschetz import ih_poincare, lefschetz_audit, local_lefschetz_poly
 
-__all__ = ["RunConfig", "UsageError", "build_parser", "run", "main"]
+__all__ = ["UsageError", "build_parser", "run", "main"]
 
-COMMANDS = ("kl", "h", "andersen", "bs", "equivariant", "lefschetz", "ih", "audit")
 FORMATS = ("text", "csv", "json")
 CACHE_DIR_ENV = "COXKL_CACHE_DIR"
 
 
 class UsageError(ValueError):
     """Bad flags or unparsable arguments; exits with status 1."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    group_type: str | None = None
-    matrix_file: str | None = None
-    parabolic: tuple[str, ...] = ()
-    fmt: str = "text"
-    cache: str | None = None
-    rank: int | None = None
-    n_max: int = 12
-    y: str | None = None
-    x: str | None = None
-    word: str | None = None
-    out: object = field(default=None, repr=False)  # writable stream; defaults to stdout
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,247 +59,193 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    parabolic = tuple(n for n in (args.parabolic or "").split(",") if n)
-    return RunConfig(
-        command=args.cmd,
-        group_type=args.group_type,
-        matrix_file=args.matrix_file,
-        parabolic=parabolic,
-        fmt=args.fmt,
-        cache=args.cache,
-        rank=args.rank,
-        n_max=args.n_max,
-        y=args.y,
-        x=args.x,
-        word=args.word,
-    )
-
-
-def _build_system(config: RunConfig) -> CoxeterSystem:
-    if config.group_type:
-        return CoxeterSystem.from_type(config.group_type)
-    if config.matrix_file:
+def _build_system(args: argparse.Namespace) -> CoxeterSystem:
+    if args.group_type:
+        return CoxeterSystem.from_type(args.group_type)
+    if args.matrix_file:
         try:
-            return CoxeterSystem.from_json_file(config.matrix_file)
+            return CoxeterSystem.from_json_file(args.matrix_file)
         except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read matrix file {config.matrix_file}: {exc}")
+            raise UsageError(f"cannot read matrix file {args.matrix_file}: {exc}")
     raise UsageError("one of --type or --matrix is required")
 
 
-def _cache_path(config: RunConfig, system: CoxeterSystem) -> str | None:
-    if config.cache:
-        return config.cache
-    cache_dir = os.environ.get(CACHE_DIR_ENV)
-    if cache_dir:
-        return os.path.join(cache_dir, f"{system.fingerprint}.json")
-    return None
+def _cache_path(args: argparse.Namespace, system: CoxeterSystem) -> str | None:
+    if args.cache or not os.environ.get(CACHE_DIR_ENV):
+        return args.cache
+    return os.path.join(os.environ[CACHE_DIR_ENV], f"{system.fingerprint}.json")
 
 
-def _need(config: RunConfig, attr: str) -> str:
-    val = getattr(config, attr)
-    if val is None:
-        raise UsageError(f"--{attr} is required for --cmd {config.command}")
-    return val
-
-
-def _parse(system: CoxeterSystem, word: str):
+def _arg(args: argparse.Namespace, attr: str, parse):
+    """parse(--attr), which the command requires; a bad word is a usage error."""
+    word = getattr(args, attr)
+    if word is None:
+        raise UsageError(f"--{attr} is required for --cmd {args.cmd}")
     try:
-        return system.parse_element(word)
+        return parse(word)
     except CoxeterError as exc:
         raise UsageError(str(exc))
 
 
-def _poly_json(p: LaurentPoly) -> list[list[int]]:
-    return [[e, c] for e, c in p.pairs()]
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
-    out = config.out if config.out is not None else sys.stdout
+def _render(fmt: str, json_rows, csv_head: str, csv_rows, text_lines):
+    """The output lines in fmt: json_rows as they are, csv_rows joined by
+    commas under csv_head, or text_lines.  Only the chosen one is consumed."""
+    if fmt == "json":
+        return json_rows
+    if fmt == "csv":
+        return chain((csv_head,), (",".join(map(str, row)) for row in csv_rows))
+    return text_lines
+
+
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit status."""
     try:
-        system = _build_system(config)
-    except CoxeterError as exc:
-        raise UsageError(str(exc))
-
-    try:
-        parabolic = tuple(system.generator_index(n) for n in config.parabolic)
+        system = _build_system(args)
+        parabolic = tuple(system.generator_index(n) for n in args.parabolic.split(",") if n)
     except CoxeterError as exc:
         raise UsageError(str(exc))
 
     algebra = HeckeAlgebra(system)
-    cache_path = _cache_path(config, system)
-    if cache_path and os.path.exists(cache_path):
-        if not algebra.load_cache(cache_path):
-            print(f"warning: ignoring mismatched cache {cache_path}", file=sys.stderr)
-
+    cache_path = _cache_path(args, system)
     try:
-        status = _dispatch(config, system, algebra, parabolic, out)
+        if cache_path and os.path.exists(cache_path) and not algebra.load_cache(cache_path):
+            print(f"warning: ignoring mismatched cache {cache_path}", file=sys.stderr)
+        status, lines = _COMMANDS[args.cmd](args, system, algebra, parabolic)
+        text = "".join(f"{line}\n" for line in lines)
     except (InexactDivision, MalformedKL) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
 
     if cache_path:
-        cache_dir = os.path.dirname(cache_path)
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
+        os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
         algebra.save_cache(cache_path)
     return status
 
 
-def _dispatch(config, system, algebra, parabolic, out) -> int:
-    fmt = config.fmt
-    emit = lambda s: print(s, file=out)
+def _kl(args, system, algebra, parabolic):
+    y, x = _arg(args, "y", system.parse_element), _arg(args, "x", system.parse_element)
+    ylab, xlab = system.format_element(y), system.format_element(x)
+    polys = {"h": algebra.h_poly(y, x)}  # h_{y,x}(v), and P_{y,x}(q) for kl
+    if args.cmd == "kl":
+        polys["P"] = algebra.kl_polynomial(y, x)
+    return 0, _render(
+        args.fmt,
+        map(_dumps, [{"y": ylab, "x": xlab, **{k: p.pairs() for k, p in polys.items()}}]),
+        "y,x,kind,exp,coeff",
+        ((ylab, xlab, k, e, c) for k, p in polys.items() for e, c in p.pairs()),
+        (f"{k}({ylab}, {xlab}) = {p.format('v' if k == 'h' else 'q')}" for k, p in polys.items()),
+    )
 
-    if config.command in ("kl", "h"):
-        y = _parse(system, _need(config, "y"))
-        x = _parse(system, _need(config, "x"))
-        ylab, xlab = system.format_element(y), system.format_element(x)
-        h = algebra.h_poly(y, x)
-        polys = {"h": h}
-        if config.command == "kl":
-            polys["P"] = algebra.kl_polynomial(y, x)
-        if fmt == "json":
-            emit(json.dumps(
-                {"y": ylab, "x": xlab, **{k: _poly_json(p) for k, p in polys.items()}},
-                sort_keys=True, separators=(",", ":"),
-            ))
-        elif fmt == "csv":
-            emit("y,x,kind,exp,coeff")
-            for kind, p in polys.items():
-                for e, c in p.pairs():
-                    emit(f"{ylab},{xlab},{kind},{e},{c}")
-        else:
-            var = {"h": "v", "P": "q"}
-            for kind, p in polys.items():
-                emit(f"{kind}({ylab}, {xlab}) = {p.format(var[kind])}")
-        return 0
 
-    if config.command == "andersen":
-        table = andersen_table(make_block(system, parabolic), algebra)
-        if fmt == "json":
-            emit(table.to_json())
-        elif fmt == "csv":
-            out.write(table.to_csv())
-        else:
-            out.write(table.to_text())
-        return 0
+def _andersen(args, system, algebra, parabolic):
+    table = andersen_table(make_block(system, parabolic), algebra)
+    return 0, [getattr(table, f"to_{args.fmt}")().removesuffix("\n")]
 
-    if config.command == "bs":
-        # The literal letters typed matter here, not the canonicalized element.
-        try:
-            letters = system.parse_word(_need(config, "word"))
-        except CoxeterError as exc:
-            raise UsageError(str(exc))
-        dec = algebra.bott_samelson(letters)
-        items = [(system.format_element(el), p) for el, p in dec.items()]
-        if fmt == "json":
-            emit(json.dumps({lab: _poly_json(p) for lab, p in items}, sort_keys=True, separators=(",", ":")))
-        elif fmt == "csv":
-            emit("element,exp,coeff")
-            for lab, p in items:
-                for e, c in p.pairs():
-                    emit(f"{lab},{e},{c}")
-        else:
-            for lab, p in items:
-                emit(f"{lab}: {p.format('v')}")
-        return 0
 
-    if config.command == "equivariant":
-        if config.n_max < 0:
-            raise UsageError("--n-max must be >= 0")
-        if config.rank is not None and config.rank < 1:
-            raise UsageError("--rank must be >= 1")
-        block = make_block(system, parabolic)
-        ybar = block.coset_of(_parse(system, _need(config, "y")))
-        xbar = block.coset_of(_parse(system, _need(config, "x")))
-        dims = equivariant_hom_series(block, algebra, ybar, xbar, config.n_max, config.rank)
-        if fmt == "json":
-            emit(json.dumps(
-                {"ybar": block.label(ybar), "xbar": block.label(xbar), "dims": dims},
-                sort_keys=True, separators=(",", ":"),
-            ))
-        elif fmt == "csv":
-            emit("n,dim")
-            for n, dim in enumerate(dims):
-                emit(f"{n},{dim}")
-        else:
-            emit(" ".join(map(str, dims)))
-        return 0
+def _bs(args, system, algebra, parabolic):
+    # The literal letters typed matter here, not the canonicalized element.
+    dec = algebra.bott_samelson(_arg(args, "word", system.parse_word))
+    items = [(system.format_element(el), p) for el, p in dec.items()]
+    return 0, _render(
+        args.fmt,
+        map(_dumps, [{lab: p.pairs() for lab, p in items}]),
+        "element,exp,coeff",
+        ((lab, e, c) for lab, p in items for e, c in p.pairs()),
+        (f"{lab}: {p.format('v')}" for lab, p in items),
+    )
 
-    if config.command == "lefschetz":
-        y = _parse(system, _need(config, "y"))
-        x = _parse(system, _need(config, "x"))
-        rep = local_lefschetz_poly(algebra, y, x)
-        if fmt == "json":
-            emit(rep.to_json_line())
-        elif fmt == "csv":
-            emit("y,x,d,palindromic,unimodal,nonneg,poly")
-            emit(f"{rep.y_label},{rep.x_label},{rep.d},{rep.palindromic},{rep.unimodal},{rep.nonneg},{rep.poly.format('q')}")
-        else:
-            emit(
-                f"pair=({rep.y_label}, {rep.x_label}) d={rep.d} poly={rep.poly.format('q')} "
-                f"palindromic={rep.palindromic} unimodal={rep.unimodal} nonneg={rep.nonneg}"
-            )
-        return 0
 
-    if config.command == "ih":
-        x = _parse(system, _need(config, "x"))
-        p = ih_poincare(algebra, x)
-        if fmt == "json":
-            emit(json.dumps({"x": system.format_element(x), "ih": _poly_json(p)}, sort_keys=True, separators=(",", ":")))
-        elif fmt == "csv":
-            emit("x,exp,coeff")
-            for e, c in p.pairs():
-                emit(f"{system.format_element(x)},{e},{c}")
-        else:
-            emit(p.format("q"))
-        return 0
+def _equivariant(args, system, algebra, parabolic):
+    if args.n_max < 0:
+        raise UsageError("--n-max must be >= 0")
+    if args.rank is not None and args.rank < 1:
+        raise UsageError("--rank must be >= 1")
+    block = make_block(system, parabolic)
+    ybar = block.coset_of(_arg(args, "y", system.parse_element))
+    xbar = block.coset_of(_arg(args, "x", system.parse_element))
+    dims = equivariant_hom_series(block, algebra, ybar, xbar, args.n_max, args.rank)
+    return 0, _render(
+        args.fmt,
+        map(_dumps, [{"ybar": block.label(ybar), "xbar": block.label(xbar), "dims": dims}]),
+        "n,dim",
+        enumerate(dims),
+        (" ".join(map(str, d)) for d in [dims]),
+    )
 
-    if config.command == "audit":
-        result = lefschetz_audit(algebra)
-        if fmt == "json":
-            for rep in result.reports:
-                emit(rep.to_json_line())
-            for ihr in result.ih_reports:
-                emit(ihr.to_json_line())
-        elif fmt == "csv":
-            emit("kind,y,x,d,palindromic,unimodal,nonneg")
-            for rep in result.reports:
-                emit(f"local,{rep.y_label},{rep.x_label},{rep.d},{rep.palindromic},{rep.unimodal},{rep.nonneg}")
-            for ihr in result.ih_reports:
-                emit(f"ih,,{ihr.x_label},,{ihr.palindromic},,")
-        else:
-            for rep in result.reports:
-                flag = "ok" if rep.passed else "FAIL"
-                emit(f"{flag} local ({rep.y_label}, {rep.x_label}) poly={rep.poly.format('q')}")
-            for ihr in result.ih_reports:
-                flag = "ok" if ihr.palindromic else "FAIL"
-                emit(f"{flag} ih {ihr.x_label} poly={ihr.poly.format('q')}")
-            emit(f"audit: {'PASS' if result.passed else 'FAIL'}")
-        if not result.passed:
-            print("internal inconsistency: lefschetz audit failed", file=sys.stderr)
-            return 2
-        return 0
 
-    raise UsageError(f"unknown command {config.command!r}")
+def _lefschetz(args, system, algebra, parabolic):
+    y, x = _arg(args, "y", system.parse_element), _arg(args, "x", system.parse_element)
+    reps = [local_lefschetz_poly(algebra, y, x)]
+    return 0, _render(
+        args.fmt,
+        (r.to_json_line() for r in reps),
+        "y,x,d,palindromic,unimodal,nonneg,poly",
+        ((r.y_label, r.x_label, r.d, r.palindromic, r.unimodal, r.nonneg, r.poly.format("q")) for r in reps),
+        (
+            f"pair=({r.y_label}, {r.x_label}) d={r.d} poly={r.poly.format('q')} "
+            f"palindromic={r.palindromic} unimodal={r.unimodal} nonneg={r.nonneg}"
+            for r in reps
+        ),
+    )
+
+
+def _ih(args, system, algebra, parabolic):
+    x = _arg(args, "x", system.parse_element)
+    xlab, polys = system.format_element(x), [ih_poincare(algebra, x)]
+    return 0, _render(
+        args.fmt,
+        (_dumps({"x": xlab, "ih": p.pairs()}) for p in polys),
+        "x,exp,coeff",
+        ((xlab, e, c) for p in polys for e, c in p.pairs()),
+        (p.format("q") for p in polys),
+    )
+
+
+def _audit(args, system, algebra, parabolic):
+    result = lefschetz_audit(algebra)
+    reps, ihs = result.reports, result.ih_reports
+    if not result.passed:
+        print("internal inconsistency: lefschetz audit failed", file=sys.stderr)
+    return 0 if result.passed else 2, _render(
+        args.fmt,
+        (r.to_json_line() for r in chain(reps, ihs)),
+        "kind,y,x,d,palindromic,unimodal,nonneg",
+        chain(
+            (("local", r.y_label, r.x_label, r.d, r.palindromic, r.unimodal, r.nonneg) for r in reps),
+            (("ih", "", r.x_label, "", r.palindromic, "", "") for r in ihs),
+        ),
+        chain(
+            (
+                f"{'ok' if r.passed else 'FAIL'} local ({r.y_label}, {r.x_label}) poly={r.poly.format('q')}"
+                for r in reps
+            ),
+            (f"{'ok' if r.palindromic else 'FAIL'} ih {r.x_label} poly={r.poly.format('q')}" for r in ihs),
+            [f"audit: {'PASS' if result.passed else 'FAIL'}"],
+        ),
+    )
+
+
+_COMMANDS = {
+    "kl": _kl, "h": _kl, "andersen": _andersen, "bs": _bs,
+    "equivariant": _equivariant, "lefschetz": _lefschetz, "ih": _ih, "audit": _audit,
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentError as exc:
+        return run(build_parser().parse_args(argv))
+    except (argparse.ArgumentError, UsageError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:
         # argparse still exits directly for some error paths (and for --help).
         return 0 if exc.code in (None, 0) else 1
-    try:
-        return run(_config_from_args(args))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,8 @@ by a hash of the Coxeter matrix and generator order.
 from __future__ import annotations
 
 import json
+import os
+from functools import cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -209,6 +211,26 @@ def _kl_p(h: Mapping[int, int], d: int, y: Element, x: Element) -> dict[int, int
     return out
 
 
+@cache
+def _kl_exponents(d: int) -> frozenset[int]:
+    # The exponents i of h_{y,x} with d = l(x) - l(y) > 0: 1 <= i <= d, i = d mod 2.
+    return frozenset(range(d, 0, -2))
+
+
+def _check_row(W: CoxeterSystem, xi: int, row: Raw) -> None:
+    # The shape of a KL row {y: h_{y,x}}: h_{x,x} = 1, and every other h_{y,x}
+    # is nonzero with its exponents in _kl_exponents(l(x) - l(y)).
+    if row.get(xi) != {0: 1}:
+        raise MalformedKL(f"uH({W.format_element(W._el(xi))}) must be unitriangular")
+    lengths, lx = W._lengths, W._lengths[xi]
+    for yi, h in row.items():
+        if yi != xi and not (h and h.keys() <= _kl_exponents(lx - lengths[yi])):
+            raise MalformedKL(
+                f"h({W.format_element(W._el(yi))}, {W.format_element(W._el(xi))}) "
+                "must lie in v*Z[v] with the length bound and parity"
+            )
+
+
 class HeckeAlgebra:
     """KL basis machinery over one Coxeter system, with a memoized table.
 
@@ -254,16 +276,7 @@ class HeckeAlgebra:
                         for wi, pw in self._kl_raw(zi).items():
                             _acc(T.setdefault(wi, {}), pw, 0, -m)
             res = {yi: d for yi, d in T.items() if d}
-            if res.get(xi) != {0: 1}:
-                raise MalformedKL(f"uH({W.format_element(W._el(xi))}) must be unitriangular")
-            if any(
-                min(d) < 1 or any((e - lengths[xi] + lengths[yi]) % 2 for e in d)
-                for yi, d in res.items()
-                if yi != xi
-            ):
-                raise MalformedKL(
-                    f"h(y, {W.format_element(W._el(xi))}) must lie in v*Z[v] with the length parity"
-                )
+            _check_row(W, xi, res)
         self._h[xi] = res
         self.computed_count += 1
         return res
@@ -351,16 +364,26 @@ class HeckeAlgebra:
             sort_keys=True,
             separators=(",", ":"),
         )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-            fh.write("\n")
+        # A temp file in the same directory and os.replace: a concurrent
+        # reader sees the old file or the new one, never a partial write.
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(blob)
+                fh.write("\n")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         self.persisted = True
 
     def load_cache(self, path) -> bool:
         """Load a cache file; return False (and load nothing) on mismatch.
 
         A missing file, unreadable JSON, wrong schema or wrong fingerprint
-        all just return False: stale caches are ignored, never migrated.
+        all just return False: stale caches are ignored, never migrated.  A
+        row that fails the degree and parity check of ``_kl_raw`` raises
+        ``MalformedKL``, again before anything is stored.
         """
         W = self.system
         try:
@@ -376,10 +399,11 @@ class HeckeAlgebra:
             loaded: dict[int, Raw] = {}
             for xw, table in data["kl"].items():
                 xi = W._id(W.parse_element(xw))
-                loaded[xi] = {
+                row = loaded[xi] = {
                     W._id(W.parse_element(yw)): {int(e): int(c) for e, c in pairs if int(c)}
                     for yw, pairs in table.items()
                 }
+                _check_row(W, xi, row)
         except (CoxeterError, KeyError, TypeError, ValueError):
             return False
         self._h.update(loaded)

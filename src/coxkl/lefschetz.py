@@ -74,7 +74,7 @@ class LefschetzReport:
             {
                 "pair": [self.y_label, self.x_label],
                 "d": self.d,
-                "poly": [[e, c] for e, c in self.poly.pairs()],
+                "poly": self.poly.pairs(),
                 "palindromic": self.palindromic,
                 "unimodal": self.unimodal,
                 "nonneg": self.nonneg,
@@ -97,7 +97,7 @@ class IHReport:
         return json.dumps(
             {
                 "x": self.x_label,
-                "ih": [[e, c] for e, c in self.poly.pairs()],
+                "ih": self.poly.pairs(),
                 "palindromic": self.palindromic,
             },
             sort_keys=True,

@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import io
 import json
 import os
@@ -26,6 +28,19 @@ def run_cli(args, env_cache=None, monkeypatch=None):
         if env_cache is not None:
             del os.environ[cli.CACHE_DIR_ENV]
     return status, buf.getvalue()
+
+
+def run_cli_err(args):
+    """Run main() in-process; returns (status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.main(args)
+    return status, out.getvalue(), err.getvalue()
+
+
+def _golden_argv(argv):
+    # The --matrix file of the golden grid lives next to it.
+    return [str(DATA / a) if a == "matrix_a_bb_c.json" else a for a in argv]
 
 
 def test_ih_example():
@@ -82,30 +97,21 @@ def test_audit_text_passes():
 
 
 def test_usage_errors():
-    # missing group
-    status, _ = run_cli(["--cmd", "ih", "--x", "e"])
-    assert status == 1
-    # unknown command
-    status, _ = run_cli(["--type", "A2", "--cmd", "bogus"])
-    assert status == 1
-    # missing element argument
-    status, _ = run_cli(["--type", "A2", "--cmd", "ih"])
-    assert status == 1
-    # unparsable element
-    status, _ = run_cli(["--type", "A2", "--cmd", "ih", "--x", "zz"])
-    assert status == 1
-    # parabolic name outside the group
-    status, _ = run_cli(["--type", "A2", "--parabolic", "s9", "--cmd", "andersen"])
-    assert status == 1
-    # bad type code
-    status, _ = run_cli(["--type", "Q7", "--cmd", "ih", "--x", "e"])
-    assert status == 1
-    # bad n-max
-    status, _ = run_cli(["--type", "A1", "--cmd", "equivariant", "--y", "e", "--x", "s", "--n-max", "-3"])
-    assert status == 1
-    # missing matrix file
-    status, _ = run_cli(["--matrix", "/nonexistent.json", "--cmd", "ih", "--x", "e"])
-    assert status == 1
+    # Each argv exits 1 with the stderr recorded in cli_golden.json.
+    golden = {tuple(g["argv"]): g["stderr"] for g in json.loads((DATA / "cli_golden.json").read_text())}
+    for argv in (
+        ["--cmd", "ih", "--x", "e"],  # missing group
+        ["--type", "A2", "--cmd", "bogus"],  # unknown command
+        ["--type", "A2", "--cmd", "ih"],  # missing element argument
+        ["--type", "A2", "--cmd", "ih", "--x", "zz"],  # unparsable element
+        ["--type", "A2", "--parabolic", "s9", "--cmd", "andersen"],  # parabolic name outside the group
+        ["--type", "Q7", "--cmd", "ih", "--x", "e"],  # bad type code
+        ["--type", "A1", "--cmd", "equivariant", "--y", "e", "--x", "s", "--n-max", "-3"],  # bad n-max
+        ["--matrix", "/nonexistent.json", "--cmd", "ih", "--x", "e"],  # missing matrix file
+    ):
+        status, out, err = run_cli_err(argv)
+        assert (status, out) == (1, ""), argv
+        assert err == golden[tuple(argv)], argv
 
 
 def test_help_exits_zero(capsys):
@@ -122,31 +128,59 @@ def test_internal_inconsistency_exit_code(monkeypatch):
     assert status == 2
 
 
-def test_tampered_cache_exits_2(tmp_path):
+def _tampered_cache(path, x, h):
+    # An A2 cache whose one row, that of x, holds h as h_{e,x}.
     from coxkl import CoxeterSystem, HeckeAlgebra
 
     W = CoxeterSystem.from_type("A2")
-    cases = [
-        ("t", {2: 1}, ["--cmd", "h", "--y", "e", "--x", "st"]),  # wrong parity
-        ("st", {5: 1}, ["--cmd", "audit"]),  # impossible degree
-    ]
-    for x, h, argv in cases:
-        a = HeckeAlgebra(W)
-        xi = W._id(W.parse_element(x))
-        a._h[xi] = {W._id(W.identity): h, xi: {0: 1}}
-        path = tmp_path / f"kl-{x}.json"
-        a.save_cache(path)
-        status, out = run_cli(["--type", "A2", *argv, "--cache", str(path)])
-        assert status == 2, argv
-        assert out == "", argv
+    a = HeckeAlgebra(W)
+    xi = W._id(W.parse_element(x))
+    a._h[xi] = {W._id(W.identity): h, xi: {0: 1}}
+    a.save_cache(path)
+    return path
+
+
+TAMPERED = [
+    ("t", {2: 1}, ["--cmd", "h", "--y", "e", "--x", "st"]),  # wrong parity
+    ("st", {5: 1}, ["--cmd", "audit"]),  # impossible degree
+    # h_{e,sts} = 7v^2 has the wrong parity for l(sts) = 3.
+    ("sts", {2: 7}, ["--cmd", "h", "--y", "e", "--x", "sts"]),
+    ("sts", {2: 7}, ["--cmd", "bs", "--word", "sts"]),
+    ("sts", {2: 7}, ["--cmd", "andersen"]),
+    ("sts", {2: 7}, ["--cmd", "equivariant", "--y", "e", "--x", "sts"]),
+]
+
+
+def test_tampered_cache_exits_2(tmp_path):
+    # Loaded rows and the rows computed on top of them are checked alike:
+    # exit 2, nothing on stdout, and the cache file is not rewritten.
+    for i, (x, h, argv) in enumerate(TAMPERED):
+        path = _tampered_cache(tmp_path / f"kl-{i}.json", x, h)
+        before = path.read_bytes()
+        status, out, err = run_cli_err(["--type", "A2", *argv, "--cache", str(path)])
+        assert (status, out) == (2, ""), argv
+        assert err.startswith("internal inconsistency: "), argv
+        assert path.read_bytes() == before, argv
+
+
+def test_tampered_cache_exits_2_under_python_O(tmp_path):
+    # The KL guards are explicit checks, not asserts, so -O keeps them.
+    x, h, argv = TAMPERED[2]
+    path = _tampered_cache(tmp_path / "kl.json", x, h)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "coxkl", "--type", "A2", *argv, "--cache", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("internal inconsistency: ")
 
 
 def test_audit_golden_bytes():
     # SHA-256 of stdout and the exit status of --cmd audit on four groups in
     # every format, recorded from the per-pair audit before it shared one
     # verdict between reports with equal (h, d).
-    import hashlib
-
     golden = json.loads((DATA / "audit_golden.json").read_text())
     assert {(g["argv"][1], g["argv"][-1]) for g in golden} == {
         (code, fmt) for code in ("A3", "B3", "H3", "A4") for fmt in cli.FORMATS
@@ -156,6 +190,27 @@ def test_audit_golden_bytes():
         raw = out.encode()
         assert (status, len(raw), hashlib.sha256(raw).hexdigest()) == (
             g["status"], g["bytes"], g["sha256"]
+        ), g["argv"]
+
+
+def test_cli_golden_grid():
+    # Exit status, stdout byte count and SHA-256, and the full stderr of every
+    # command in every format on B3 and on a B3 matrix file with the
+    # generator names a, bb, c, plus usage errors; recorded from the CLI that
+    # wrote each format by hand in each command.
+    golden = json.loads((DATA / "cli_golden.json").read_text())
+    for head in (["--type", "B3"], ["--matrix", "matrix_a_bb_c.json"]):
+        covered = {
+            (g["argv"][g["argv"].index("--cmd") + 1], g["argv"][-1])
+            for g in golden
+            if g["argv"][:2] == head and g["status"] == 0
+        }
+        assert covered == {(c, f) for c in cli.COMMANDS for f in cli.FORMATS}, head
+    for g in golden:
+        status, out, err = run_cli_err(_golden_argv(g["argv"]))
+        raw = out.encode()
+        assert (status, len(raw), hashlib.sha256(raw).hexdigest(), err) == (
+            g["status"], g["bytes"], g["sha256"], g["stderr"]
         ), g["argv"]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 
 import pytest
@@ -276,6 +277,30 @@ def test_cache_roundtrip(tmp_path, system):
     assert (tmp_path / "kl2.json").read_bytes() == path.read_bytes()
 
 
+def test_cache_save_is_atomic(tmp_path, system, monkeypatch):
+    # The file is written beside the target and renamed onto it: a failed
+    # save leaves the old bytes and no stray temp file.
+    W = system("A2")
+    a = HeckeAlgebra(W)
+    a.kl_element(W.parse_element("s"))
+    path = tmp_path / "kl.json"
+    a.save_cache(path)
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("forced")
+
+    a.kl_table()
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="forced"):
+        a.save_cache(path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+    monkeypatch.undo()
+    a.save_cache(path)
+    assert path.read_bytes() != old and list(tmp_path.iterdir()) == [path]
+
+
 def test_cache_mismatch_ignored(tmp_path, system):
     a_b2 = HeckeAlgebra(system("B2"))
     a_b2.kl_table()
@@ -336,6 +361,32 @@ def test_tampered_memo_raises_malformed_kl(system):
     a._h[sti] = {W._id(W.identity): {5: 1}, sti: {0: 1}}
     with pytest.raises(MalformedKL):
         lefschetz_audit(a)
+
+
+@pytest.mark.parametrize(
+    "x, y, h",
+    [
+        ("sts", "e", {2: 7}),  # wrong parity for l(x) - l(y) = 3
+        ("sts", "e", {5: 1}),  # above l(x) - l(y)
+        ("st", "s", {-1: 1}),  # not in v*Z[v]
+        ("st", "s", {}),  # a stored entry is never zero
+        ("s", "st", {1: 1}),  # y longer than x
+        ("sts", "sts", {0: 2}),  # not unitriangular
+    ],
+)
+def test_load_cache_rejects_malformed_rows(tmp_path, system, x, y, h):
+    # Every loaded row gets the degree and parity check of computed ones:
+    # a bad row raises MalformedKL and nothing of the file is stored.
+    W = system("A2")
+    a = HeckeAlgebra(W)
+    a.kl_table()
+    a._h[W._id(W.parse_element(x))][W._id(W.parse_element(y))] = h
+    path = tmp_path / "kl.json"
+    a.save_cache(path)
+    b = HeckeAlgebra(W)
+    with pytest.raises(MalformedKL):
+        b.load_cache(path)
+    assert not b._h and not b.persisted
 
 
 @pytest.mark.parametrize("code", ["A3", "B2"])
