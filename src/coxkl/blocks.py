@@ -97,8 +97,7 @@ def andersen_dims(
     """
     if algebra.system is not block.system:
         raise CoxeterError("algebra and block live over different systems")
-    h = algebra.h_poly(ybar.max_rep, xbar.max_rep)
-    return {i: c for i, c in h.pairs()}
+    return dict(algebra.h_poly(ybar.max_rep, xbar.max_rep).pairs())
 
 
 def total_hom_dim(block: BlockData, algebra: HeckeAlgebra, ybar: Coset, xbar: Coset) -> int:
@@ -168,15 +167,18 @@ class DimTable:
 
 
 def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
-    """The full graded dimension table over all coset pairs of the block."""
+    """The full graded dimension table, read off one KL row per column."""
+    if algebra.system is not block.system:
+        raise CoxeterError("algebra and block live over different systems")
     labels = tuple(block.label(c) for c in block.cosets)
     names = tuple(block.weight_name(c) for c in block.cosets)
+    label_of = {block.system._id(c.max_rep): lab for c, lab in zip(block.cosets, labels)}
     cells: dict[tuple[str, str], dict[int, int]] = {}
-    for yc, ylab in zip(block.cosets, labels):
-        for xc, xlab in zip(block.cosets, labels):
-            cell = andersen_dims(block, algebra, yc, xc)
-            if cell:
-                cells[(ylab, xlab)] = cell
+    for xi, xlab in label_of.items():
+        for yi, h in algebra._kl_raw(xi).items():
+            ylab = label_of.get(yi)
+            if ylab is not None:
+                cells[(ylab, xlab)] = dict(sorted(h.items()))
     caption = (
         "graded dims of Hom(Delta(lambda[row]), K(lambda[col])); "
         "lambda[x] = w_long.x.lambda for the coset with longest representative x"

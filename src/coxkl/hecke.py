@@ -40,7 +40,7 @@ from .laurent import LaurentPoly, _acc, _mac
 
 __all__ = ["MalformedKL", "HeckeElt", "HeckeAlgebra", "CACHE_SCHEMA"]
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 class MalformedKL(RuntimeError):
@@ -217,6 +217,10 @@ def _kl_exponents(d: int) -> frozenset[int]:
     return frozenset(range(d, 0, -2))
 
 
+def _h_name(W: CoxeterSystem, yi: int, xi: int) -> str:
+    return f"h({W.format_element(W._el(yi))}, {W.format_element(W._el(xi))})"
+
+
 def _check_row(W: CoxeterSystem, xi: int, row: Raw) -> None:
     # The shape of a KL row {y: h_{y,x}}: h_{x,x} = 1, and every other h_{y,x}
     # is nonzero with its exponents in _kl_exponents(l(x) - l(y)).
@@ -225,10 +229,7 @@ def _check_row(W: CoxeterSystem, xi: int, row: Raw) -> None:
     lengths, lx = W._lengths, W._lengths[xi]
     for yi, h in row.items():
         if yi != xi and not (h and h.keys() <= _kl_exponents(lx - lengths[yi])):
-            raise MalformedKL(
-                f"h({W.format_element(W._el(yi))}, {W.format_element(W._el(xi))}) "
-                "must lie in v*Z[v] with the length bound and parity"
-            )
+            raise MalformedKL(f"{_h_name(W, yi, xi)} must lie in v*Z[v] with the length bound and parity")
 
 
 class HeckeAlgebra:
@@ -248,7 +249,6 @@ class HeckeAlgebra:
         # xid -> yid -> {exponent: coefficient}; entries are frozen once stored.
         self._h: dict[int, Raw] = {}
         self.computed_count = 0
-        self.persisted = False  # True once backed by a cache file
 
     # -- KL recursion ---------------------------------------------------
 
@@ -296,7 +296,7 @@ class HeckeAlgebra:
         W = self.system
         yi, xi = W._id(y), W._id(x)
         d = self._kl_raw(xi).get(yi)
-        return LaurentPoly(d) if d else LaurentPoly.zero()
+        return LaurentPoly._raw(dict(d)) if d else LaurentPoly.zero()
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
         """P_{y,x}(q), from h_{y,x}(v) = v^(l(x)-l(y)) P_{y,x}(v^-2)."""
@@ -350,17 +350,13 @@ class HeckeAlgebra:
     # -- persistence -------------------------------------------------------
 
     def save_cache(self, path) -> None:
-        """Write the memo table as deterministic JSON (sorted keys)."""
-        W = self.system
-        kl = {
-            W.format_element(W._el(xi)): {
-                W.format_element(W._el(yi)): [[e, c] for e, c in sorted(d.items())]
-                for yi, d in table.items()
-            }
-            for xi, table in self._h.items()
-        }
+        """Write the memo table as deterministic JSON, rows and entries by id."""
+        kl = [
+            [xi, [[yi, sorted(h.items())] for yi, h in sorted(row.items())]]
+            for xi, row in sorted(self._h.items())
+        ]
         blob = json.dumps(
-            {"schema": CACHE_SCHEMA, "coxeter_hash": W.fingerprint, "kl": kl},
+            {"schema": CACHE_SCHEMA, "coxeter_hash": self.system.fingerprint, "kl": kl},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -375,15 +371,15 @@ class HeckeAlgebra:
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
-        self.persisted = True
 
     def load_cache(self, path) -> bool:
         """Load a cache file; return False (and load nothing) on mismatch.
 
-        A missing file, unreadable JSON, wrong schema or wrong fingerprint
-        all just return False: stale caches are ignored, never migrated.  A
-        row that fails the degree and parity check of ``_kl_raw`` raises
-        ``MalformedKL``, again before anything is stored.
+        ``"kl"`` is ``[[x, [[y, [[exp, coeff], ...]], ...]], ...]``, ids by position
+        in ``all_elements()``.  Missing or unreadable files, another schema or
+        fingerprint and ids outside 0..order-1 return False: stale caches are
+        ignored, never migrated.  A row failing the check of computed rows,
+        P_{y,x}(0) = 1 or y <= x raises ``MalformedKL`` before anything is stored.
         """
         W = self.system
         try:
@@ -395,17 +391,19 @@ class HeckeAlgebra:
             return False
         if data.get("coxeter_hash") != W.fingerprint:
             return False
+        n, lengths = W.order, W._lengths
         try:
             loaded: dict[int, Raw] = {}
-            for xw, table in data["kl"].items():
-                xi = W._id(W.parse_element(xw))
-                row = loaded[xi] = {
-                    W._id(W.parse_element(yw)): {int(e): int(c) for e, c in pairs if int(c)}
-                    for yw, pairs in table.items()
-                }
+            for xi, entries in data["kl"]:
+                row = {yi: {int(e): int(c) for e, c in pairs if int(c)} for yi, pairs in entries}
+                if not all(type(i) is int and 0 <= i < n for i in (xi, *row)):
+                    return False
                 _check_row(W, xi, row)
-        except (CoxeterError, KeyError, TypeError, ValueError):
+                for yi, h in row.items():
+                    if h.get(lengths[xi] - lengths[yi]) != 1 or not W._bruhat_leq(yi, xi):
+                        raise MalformedKL(f"{_h_name(W, yi, xi)} must have P(0) = 1 and y <= x (Bruhat)")
+                loaded[xi] = row
+        except (KeyError, TypeError, ValueError):
             return False
         self._h.update(loaded)
-        self.persisted = True
         return True

@@ -10,6 +10,7 @@ from coxkl.blocks import (
     make_block,
     total_hom_dim,
 )
+from coxkl.coxeter import CoxeterError
 
 from oracles import poly_ring_series
 
@@ -82,12 +83,19 @@ def test_andersen_table_a1(system, algebra):
     }
 
 
-@pytest.mark.parametrize("code", ["A3", "B2"])
+@pytest.mark.parametrize("code", ["A3", "B2", "H3"])
 def test_andersen_table_invariants(code, system, algebra):
     W, A = system(code), algebra(code)
     for I in all_subsets(W.rank):
         block = make_block(W, I)
         table = andersen_table(block, A)
+        # The row-wise table against the per-pair reference.
+        reference = {
+            (block.label(yc), block.label(xc)): andersen_dims(block, A, yc, xc)
+            for yc in block.cosets
+            for xc in block.cosets
+        }
+        assert table.cells == {k: cell for k, cell in reference.items() if cell}
         labels = {block.label(c): c for c in block.cosets}
         for (rl, cl), cell in table.cells.items():
             y, x = labels[rl].max_rep, labels[cl].max_rep
@@ -98,6 +106,14 @@ def test_andersen_table_invariants(code, system, algebra):
         for c in block.cosets:
             lab = block.label(c)
             assert table.cells[(lab, lab)] == {0: 1}
+
+
+def test_tables_reject_an_algebra_over_another_system(system, algebra):
+    block = make_block(system("A2"), [0])
+    with pytest.raises(CoxeterError):
+        andersen_table(block, algebra("B2"))
+    with pytest.raises(CoxeterError):
+        andersen_dims(block, algebra("B2"), block.cosets[0], block.cosets[-1])
 
 
 def test_singular_consistent_with_regular(system, algebra):

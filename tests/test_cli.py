@@ -128,36 +128,39 @@ def test_internal_inconsistency_exit_code(monkeypatch):
     assert status == 2
 
 
-def _tampered_cache(path, x, h):
-    # An A2 cache whose one row, that of x, holds h as h_{e,x}.
+def _tampered_cache(path, group, y, x, h):
+    # A cache of group whose one row, that of x, holds h as h_{y,x}.
     from coxkl import CoxeterSystem, HeckeAlgebra
 
-    W = CoxeterSystem.from_type("A2")
+    W = CoxeterSystem.from_type(group)
     a = HeckeAlgebra(W)
     xi = W._id(W.parse_element(x))
-    a._h[xi] = {W._id(W.identity): h, xi: {0: 1}}
+    a._h[xi] = {W._id(W.parse_element(y)): h, xi: {0: 1}}
     a.save_cache(path)
     return path
 
 
 TAMPERED = [
-    ("t", {2: 1}, ["--cmd", "h", "--y", "e", "--x", "st"]),  # wrong parity
-    ("st", {5: 1}, ["--cmd", "audit"]),  # impossible degree
+    ("A2", "e", "t", {2: 1}, ["--cmd", "h", "--y", "e", "--x", "st"]),  # wrong parity
+    ("A2", "e", "st", {5: 1}, ["--cmd", "audit"]),  # impossible degree
     # h_{e,sts} = 7v^2 has the wrong parity for l(sts) = 3.
-    ("sts", {2: 7}, ["--cmd", "h", "--y", "e", "--x", "sts"]),
-    ("sts", {2: 7}, ["--cmd", "bs", "--word", "sts"]),
-    ("sts", {2: 7}, ["--cmd", "andersen"]),
-    ("sts", {2: 7}, ["--cmd", "equivariant", "--y", "e", "--x", "sts"]),
+    ("A2", "e", "sts", {2: 7}, ["--cmd", "h", "--y", "e", "--x", "sts"]),
+    ("A2", "e", "sts", {2: 7}, ["--cmd", "bs", "--word", "sts"]),
+    ("A2", "e", "sts", {2: 7}, ["--cmd", "andersen"]),
+    ("A2", "e", "sts", {2: 7}, ["--cmd", "equivariant", "--y", "e", "--x", "sts"]),
+    # Degree and parity fit: 5v^2 has P(0) = 0, and s3 is not below s1s2.
+    ("A3", "e", "s2s1s3s2", {2: 5}, ["--cmd", "h", "--y", "e", "--x", "s2s1s3s2"]),
+    ("A3", "s3", "s1s2", {1: 1}, ["--cmd", "h", "--y", "s3", "--x", "s1s2"]),
 ]
 
 
 def test_tampered_cache_exits_2(tmp_path):
     # Loaded rows and the rows computed on top of them are checked alike:
     # exit 2, nothing on stdout, and the cache file is not rewritten.
-    for i, (x, h, argv) in enumerate(TAMPERED):
-        path = _tampered_cache(tmp_path / f"kl-{i}.json", x, h)
+    for i, (group, y, x, h, argv) in enumerate(TAMPERED):
+        path = _tampered_cache(tmp_path / f"kl-{i}.json", group, y, x, h)
         before = path.read_bytes()
-        status, out, err = run_cli_err(["--type", "A2", *argv, "--cache", str(path)])
+        status, out, err = run_cli_err(["--type", group, *argv, "--cache", str(path)])
         assert (status, out) == (2, ""), argv
         assert err.startswith("internal inconsistency: "), argv
         assert path.read_bytes() == before, argv
@@ -165,10 +168,10 @@ def test_tampered_cache_exits_2(tmp_path):
 
 def test_tampered_cache_exits_2_under_python_O(tmp_path):
     # The KL guards are explicit checks, not asserts, so -O keeps them.
-    x, h, argv = TAMPERED[2]
-    path = _tampered_cache(tmp_path / "kl.json", x, h)
+    group, y, x, h, argv = TAMPERED[2]
+    path = _tampered_cache(tmp_path / "kl.json", group, y, x, h)
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "coxkl", "--type", "A2", *argv, "--cache", str(path)],
+        [sys.executable, "-O", "-m", "coxkl", "--type", group, *argv, "--cache", str(path)],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -244,12 +247,26 @@ def test_cache_env_dir(tmp_path):
     assert len(files) == 1
 
 
-def test_cache_mismatch_is_warning(tmp_path, capsys):
-    cache = tmp_path / "kl.json"
-    cache.write_text("{}")
-    status, out = run_cli(["--type", "A2", "--cmd", "ih", "--x", "sts", "--cache", str(cache)])
-    assert status == 0
-    assert out == "1 + 2q + 2q^2 + q^3\n"
+def test_cache_mismatch_is_warning(tmp_path):
+    # An unreadable cache and a schema-1 file with the right fingerprint are
+    # ignored with a warning, never migrated, and rewritten as schema 2.
+    from coxkl import CoxeterSystem
+
+    args = ["--type", "A2", "--cmd", "ih", "--x", "sts"]
+    status, plain = run_cli(args)
+    assert (status, plain) == (0, "1 + 2q + 2q^2 + q^3\n")
+    schema_1 = {
+        "schema": 1,
+        "coxeter_hash": CoxeterSystem.from_type("A2").fingerprint,
+        "kl": {"e": {"e": [[0, 1]]}, "s": {"e": [[1, 1]], "s": [[0, 1]]}},
+    }
+    for text in ("{}", json.dumps(schema_1)):
+        cache = tmp_path / "kl.json"
+        cache.write_text(text)
+        status, out, err = run_cli_err([*args, "--cache", str(cache)])
+        assert (status, out) == (0, plain), text
+        assert err == f"warning: ignoring mismatched cache {cache}\n", text
+        assert json.loads(cache.read_text())["schema"] == 2, text
 
 
 def test_scenario_determinism_cold_vs_warm(tmp_path):

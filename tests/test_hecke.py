@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -6,7 +7,7 @@ import random
 import pytest
 
 from coxkl.coxeter import CoxeterError
-from coxkl.hecke import HeckeAlgebra, HeckeElt, MalformedKL
+from coxkl.hecke import CACHE_SCHEMA, HeckeAlgebra, HeckeElt, MalformedKL
 from coxkl.laurent import LaurentPoly
 from coxkl.lefschetz import lefschetz_audit
 
@@ -265,9 +266,7 @@ def test_cache_roundtrip(tmp_path, system):
     a1.save_cache(path)
 
     a2 = HeckeAlgebra(W)
-    assert not a2.persisted
     assert a2.load_cache(path)
-    assert a2.persisted
     assert a2.computed_count == 0
     for x in W.all_elements():
         for y in W.all_elements():
@@ -275,6 +274,12 @@ def test_cache_roundtrip(tmp_path, system):
     assert a2.computed_count == 0
     a2.save_cache(tmp_path / "kl2.json")
     assert (tmp_path / "kl2.json").read_bytes() == path.read_bytes()
+    # Ids are positions in all_elements(): a change of that order or of the
+    # file format without a schema bump must fail here first.
+    raw = path.read_bytes()
+    assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
+        2915, "fb8d7a65e6956cd6a6f84e34cd1a7e12c11ce7f784f9229919df3a4a5ced02b1"
+    )
 
 
 def test_cache_save_is_atomic(tmp_path, system, monkeypatch):
@@ -316,6 +321,20 @@ def test_cache_mismatch_ignored(tmp_path, system):
     path.write_text(json.dumps({"schema": 99, "coxeter_hash": "x", "kl": {}}))
     assert not a_a2.load_cache(path)
     assert not a_a2.load_cache(tmp_path / "missing.json")
+
+    # Ids must be ints in 0..order-1; a negative one must not wrap around.
+    head = {"schema": CACHE_SCHEMA, "coxeter_hash": a_a2.system.fingerprint}
+    for kl in (
+        [[-1, [[0, [[3, 1]]], [-1, [[0, 1]]]]]],  # -1 would read as sts
+        [[5, [[-6, [[3, 1]]], [5, [[0, 1]]]]]],  # -6 would read as e
+        [[6, [[0, [[3, 1]]], [6, [[0, 1]]]]]],
+        [["s", [[0, [[1, 1]]], ["s", [[0, 1]]]]]],
+        [[1.0, [[0, [[1, 1]]], [1.0, [[0, 1]]]]]],
+        [[True, [[0, [[1, 1]]], [True, [[0, 1]]]]]],
+    ):
+        path.write_text(json.dumps({**head, "kl": kl}))
+        assert not a_a2.load_cache(path), kl
+    assert not a_a2._h
 
 
 def test_partial_cache_is_extended(tmp_path, system):
@@ -372,11 +391,12 @@ def test_tampered_memo_raises_malformed_kl(system):
         ("st", "s", {}),  # a stored entry is never zero
         ("s", "st", {1: 1}),  # y longer than x
         ("sts", "sts", {0: 2}),  # not unitriangular
+        ("sts", "e", {1: 1}),  # degree and parity fit, but P_{e,sts}(0) = 0
     ],
 )
 def test_load_cache_rejects_malformed_rows(tmp_path, system, x, y, h):
-    # Every loaded row gets the degree and parity check of computed ones:
-    # a bad row raises MalformedKL and nothing of the file is stored.
+    # Every loaded row gets the degree and parity check of computed ones, and
+    # P_{y,x}(0) = 1: a bad row raises MalformedKL and nothing is stored.
     W = system("A2")
     a = HeckeAlgebra(W)
     a.kl_table()
@@ -386,7 +406,7 @@ def test_load_cache_rejects_malformed_rows(tmp_path, system, x, y, h):
     b = HeckeAlgebra(W)
     with pytest.raises(MalformedKL):
         b.load_cache(path)
-    assert not b._h and not b.persisted
+    assert not b._h
 
 
 @pytest.mark.parametrize("code", ["A3", "B2"])
