@@ -2,9 +2,12 @@
 Finite Coxeter systems with canonical-form elements.
 
 A system is built from a Coxeter matrix (diagonal 1, off-diagonal entries in
-{2,3,4,5,6}).  Construction enumerates the whole group through its reflection
-representation and precomputes multiplication-by-generator tables, lengths,
-descent sets and inverses, so that every later operation is table lookup.
+{2,3,4,5,6}).  Construction enumerates the whole group as the orbit of one
+regular weight rho (coordinate 1 against each simple coroot): W acts simply
+transitively on that orbit, so the n-vector x^{-1}(rho) names x.  A
+breadth-first search over right multiplication by generators records
+multiplication-by-generator tables, lengths and inverses, so that every later
+operation is table lookup; descent sets are read off those tables.
 Elements are identified with their ShortLex-least reduced word under the
 generator order fixed at construction; ``all_elements()`` lists them sorted
 by (length, word), and every other ordering in the package derives from that.
@@ -14,8 +17,8 @@ classification of finite types (any diagram outside the catalog presents an
 infinite group).  The catalog order is compared with a configurable element
 bound before enumerating, and the enumeration enforces the bound again.
 
-Matrix entries equal to 5 force golden-ratio arithmetic in the reflection
-representation; scalars are therefore pairs (a, b) meaning a + b*phi with
+Matrix entries equal to 5 force golden-ratio arithmetic in the weight
+coordinates; scalars are therefore pairs (a, b) meaning a + b*phi with
 phi^2 = phi + 1, which stays exact over plain ints for every allowed entry.
 """
 from __future__ import annotations
@@ -305,7 +308,10 @@ class CoxeterSystem:
 
     @staticmethod
     def _validate_matrix(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-        rows = tuple(tuple(row) for row in matrix)
+        try:
+            rows = tuple(tuple(row) for row in matrix)
+        except TypeError:
+            raise CoxeterError("matrix must be a list of rows") from None
         n = len(rows)
         if n == 0:
             raise CoxeterError("rank must be positive")
@@ -330,7 +336,10 @@ class CoxeterSystem:
     def _validate_names(names: Sequence[str] | None, rank: int) -> tuple[str, ...]:
         if names is None:
             return _default_names(rank)
-        out = tuple(names)
+        try:
+            out = tuple(names)
+        except TypeError:
+            raise CoxeterError("generator names must be a list") from None
         if len(out) != rank:
             raise CoxeterError(f"expected {rank} generator names, got {len(out)}")
         for name in out:
@@ -360,49 +369,44 @@ class CoxeterSystem:
                     a = pair_for[m][0] if s < t else pair_for[m][1]
                     updates[s].append((t, a[0], a[1]))
 
-        ident = [0] * (2 * n * n)
-        for i in range(n):
-            ident[2 * (i * n + i)] = 1
-        ident_t = tuple(ident)
-
-        def apply_right(state: tuple[int, ...], s: int) -> tuple[int, ...]:
-            # Right multiplication by the reflection s: every column j with
-            # a_sj != 0 picks up -a_sj times column s.
-            out = list(state)
-            for j, ca, cb in updates[s]:
-                for i in range(n):
-                    si = 2 * (i * n + s)
-                    xa, xb = state[si], state[si + 1]
-                    base = 2 * (i * n + j)
-                    out[base] -= ca * xa + cb * xb
-                    out[base + 1] -= ca * xb + cb * xa + cb * xb
+        # x is stored as the weight mu = x^{-1}(rho) in fundamental-weight
+        # coordinates, with rho = 1 against every simple coroot.  rho is
+        # regular, so W acts simply transitively on its orbit and mu names x.
+        # (xs)^{-1}(rho) = s(mu), and the reflection s does mu_t -= mu_s * a_st.
+        def apply_right(mu: tuple[int, ...], s: int) -> tuple[int, ...]:
+            out = list(mu)
+            xa, xb = mu[2 * s], mu[2 * s + 1]
+            for t, ca, cb in updates[s]:
+                out[2 * t] -= ca * xa + cb * xb
+                out[2 * t + 1] -= ca * xb + cb * xa + cb * xb
             return tuple(out)
 
-        index: dict[tuple[int, ...], int] = {ident_t: 0}
-        states = [ident_t]
+        rho = (1, 0) * n
+        index: dict[tuple[int, ...], int] = {rho: 0}
+        weights = [rho]
         words: list[tuple[int, ...]] = [()]
         right: list[list[int]] = []
         e = 0
-        while e < len(states):
+        while e < len(weights):
             row = [0] * n
-            st = states[e]
+            mu = weights[e]
             for s in range(n):
-                img = apply_right(st, s)
+                img = apply_right(mu, s)
                 i = index.get(img)
                 if i is None:
-                    i = len(states)
+                    i = len(weights)
                     if i >= max_elements:
                         raise InfiniteGroupError(
                             f"enumeration exceeded the element bound {max_elements}"
                         )
                     index[img] = i
-                    states.append(img)
+                    weights.append(img)
                     words.append(words[e] + (s,))
                 row[s] = i
             right.append(row)
             e += 1
 
-        order = len(states)
+        order = len(weights)
         self._words = words
         self._lengths = [len(w) for w in words]
         self._right = right
@@ -421,16 +425,6 @@ class CoxeterSystem:
         # Left table via (s x)^{-1} = x^{-1} s.
         self._left = [[inv[right[inv[i]][s]] for s in range(n)] for i in range(order)]
 
-        lengths = self._lengths
-        self._rdesc = [
-            frozenset(s for s in range(n) if lengths[right[i][s]] < lengths[i])
-            for i in range(order)
-        ]
-        self._ldesc = [
-            frozenset(s for s in range(n) if lengths[self._left[i][s]] < lengths[i])
-            for i in range(order)
-        ]
-
     # -- alternate constructors -----------------------------------------
 
     @classmethod
@@ -446,9 +440,10 @@ class CoxeterSystem:
             matrix = data["matrix"]
         except (TypeError, KeyError) as exc:
             raise CoxeterError(f"matrix JSON needs 'rank' and 'matrix' keys: {exc}")
-        if len(matrix) != rank:
-            raise CoxeterError(f"declared rank {rank} but matrix has {len(matrix)} rows")
-        return cls(matrix, data.get("names"), max_elements=max_elements)
+        rows = cls._validate_matrix(matrix)
+        if len(rows) != rank:
+            raise CoxeterError(f"declared rank {rank} but matrix has {len(rows)} rows")
+        return cls(rows, data.get("names"), max_elements=max_elements)
 
     @classmethod
     def from_json_file(cls, path, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> CoxeterSystem:
@@ -566,26 +561,27 @@ class CoxeterSystem:
     def inverse(self, a: Element) -> Element:
         return self._elements[self._inv[self._id(a)]]
 
-    def _gen_table(self, s: int, side: str) -> list[list[int]]:
-        # The multiply-by-generator table of `side`, once s and side are checked.
-        if not 0 <= s < self.rank:
-            raise CoxeterError(f"generator index {s} out of range")
+    def _table(self, side: str) -> list[list[int]]:
+        # The multiply-by-generator table of `side`, once side is checked.
         if side == "right":
             return self._right
         if side == "left":
             return self._left
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
+    def _gen_table(self, s: int, side: str) -> list[list[int]]:
+        # The multiply-by-generator table of `side`, once s and side are checked.
+        if not 0 <= s < self.rank:
+            raise CoxeterError(f"generator index {s} out of range")
+        return self._table(side)
+
     def apply_gen(self, a: Element, s: int, side: str = "right") -> Element:
         return self._elements[self._gen_table(s, side)[self._id(a)][s]]
 
     def descents(self, a: Element, side: str = "right") -> frozenset[int]:
         """Generator indices s with l(as) < l(a) (or l(sa) < l(a) on the left)."""
-        if side == "right":
-            return self._rdesc[self._id(a)]
-        if side == "left":
-            return self._ldesc[self._id(a)]
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+        row, i, lengths = self._table(side), self._id(a), self._lengths
+        return frozenset(s for s, j in enumerate(row[i]) if lengths[j] < lengths[i])
 
     def all_elements(self) -> tuple[Element, ...]:
         """Every element once, sorted by (length, ShortLex word)."""

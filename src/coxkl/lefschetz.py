@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import CoxeterSystem, Element
-from .hecke import HeckeAlgebra, Raw, _kl_p
+from .hecke import HeckeAlgebra, Raw, _check_row, _kl_p
 from .laurent import LaurentPoly, _acc
 
 __all__ = [
@@ -126,13 +126,14 @@ def _local(h: dict[int, int], d: int, y: Element, x: Element):
 
 
 def _ih(W: CoxeterSystem, xi: int, row: Raw) -> LaurentPoly:
-    # IP_x(q) = sum over y and i of q^((l(x)+l(y)-i)/2) h^i_{y,x}, from the
-    # memoized row {y: h_{y,x}} of uH(x).
-    lengths, x = W._lengths, W._el(xi)
+    # IP_x(v^-2) = sum over y of v^-(l(x)+l(y)) h_{y,x}(v), from the checked
+    # memo row {y: h_{y,x}} of uH(x); v^e is q^(-e/2), and e is even.
+    _check_row(W, xi, row)
+    lengths, lx = W._lengths, W._lengths[xi]
     total: dict[int, int] = {}
     for yi, h in row.items():
-        _acc(total, _kl_p(h, lengths[xi] - lengths[yi], W._el(yi), x), lengths[yi])
-    return LaurentPoly._raw(total)
+        _acc(total, h, -lx - lengths[yi])
+    return LaurentPoly._raw({-e // 2: c for e, c in total.items()})
 
 
 def local_lefschetz_poly(algebra: HeckeAlgebra, y: Element, x: Element) -> LefschetzReport:

@@ -226,6 +226,28 @@ def test_matrix_file_input(tmp_path):
     assert out == "1 + 2q + 2q^2 + 2q^3 + q^4\n"
 
 
+def test_malformed_matrix_file_is_usage_error(tmp_path):
+    # Matrix and names of the wrong shape exit 1 with a usage error, not a
+    # traceback.
+    for data in (
+        {"rank": 2, "matrix": [5, 6]},
+        {"rank": 2, "matrix": 5},
+        {"rank": 2, "matrix": [[1, "x"], 3]},
+        {"rank": 2, "matrix": [[1, 3], [3, 1]], "names": 5},
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxkl", "--matrix", str(path), "--cmd", "ih", "--x", "e"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert (proc.returncode, proc.stdout) == (1, ""), data
+        assert proc.stderr.startswith("usage error: "), data
+        assert "Traceback" not in proc.stderr, data
+
+
 def test_cache_warm_cold_identical(tmp_path):
     cache = tmp_path / "kl-a3.json"
     args = ["--type", "A3", "--cmd", "andersen", "--format", "json", "--cache", str(cache)]

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +71,11 @@ def test_bad_matrices():
         CoxeterSystem.from_type("Z9")
     with pytest.raises(CoxeterError):
         CoxeterSystem.from_type("G3")
+    for matrix in (5, [5, 6], [[1, "x"], 3]):
+        with pytest.raises(CoxeterError):
+            CoxeterSystem.from_json({"rank": 2, "matrix": matrix})
+    with pytest.raises(CoxeterError):
+        CoxeterSystem.from_json({"rank": 2, "matrix": [[1, 3], [3, 1]], "names": 5})
 
 
 def test_infinite_matrices_rejected():
@@ -192,6 +199,38 @@ def test_descents_match_length_drops(code, system):
         assert W.descents(a, "left") == frozenset(left)
     with pytest.raises(ValueError):
         W.apply_gen(W.longest_element(), 0, "rigth")
+
+
+# -- enumeration golden -------------------------------------------------------
+
+
+def group_digest(W):
+    # SHA-256 over, per element in all_elements() order: its word, its right
+    # and left generator products and its inverse (as positions), and its
+    # right and left descents; public API only.
+    els = W.all_elements()
+    pos = {el: i for i, el in enumerate(els)}
+    digest = hashlib.sha256()
+    for el in els:
+        row = [list(el.word)]
+        row += [[pos[W.apply_gen(el, s, side)] for s in range(W.rank)] for side in ("right", "left")]
+        row.append(pos[W.inverse(el)])
+        row += [sorted(W.descents(el, side)) for side in ("right", "left")]
+        digest.update(json.dumps(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_group_golden():
+    # Order and group_digest of every listed group, recorded from the
+    # enumeration that carried each element as its reflection matrix.
+    golden = json.loads((Path(__file__).parent / "data" / "group_golden.json").read_text())
+    assert [g["group"] for g in golden] == [
+        "A1", "A2", "B2", "G2", "A3", "B3", "H3", "A4", "B4", "D4", "F4", "A5", "D5",
+        "I2(5)", "A1xB2", "H4",
+    ]
+    for g in golden:
+        W = CoxeterSystem(g["matrix"]) if "matrix" in g else CoxeterSystem.from_type(g["group"])
+        assert (W.order, group_digest(W)) == (g["order"], g["sha256"]), g["group"]
 
 
 # -- Bruhat order -------------------------------------------------------------

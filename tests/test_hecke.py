@@ -9,7 +9,7 @@ import pytest
 from coxkl.coxeter import CoxeterError
 from coxkl.hecke import CACHE_SCHEMA, HeckeAlgebra, HeckeElt, MalformedKL
 from coxkl.laurent import LaurentPoly
-from coxkl.lefschetz import lefschetz_audit
+from coxkl.lefschetz import ih_poincare, lefschetz_audit
 
 from oracles import kl_basis_bruteforce
 
@@ -373,13 +373,16 @@ def test_tampered_memo_raises_malformed_kl(system):
     a._h[ti] = {W._id(W.identity): {2: 1}, ti: {0: 1}}
     with pytest.raises(MalformedKL):
         a.kl_element(W.parse_element("st"))
-    # h_{e,st} = v^5 has an impossible degree; the audit reads the memo rows
-    # directly and shares verdicts between pairs, and must still refuse it.
+    # h_{e,st} = v^5 has an impossible degree; the audit and IP_x read the
+    # memo rows directly, the audit shares verdicts between pairs, and both
+    # must still refuse it.
     a = HeckeAlgebra(W)
     sti = W._id(W.parse_element("st"))
     a._h[sti] = {W._id(W.identity): {5: 1}, sti: {0: 1}}
     with pytest.raises(MalformedKL):
         lefschetz_audit(a)
+    with pytest.raises(MalformedKL):
+        ih_poincare(a, W.parse_element("st"))
 
 
 @pytest.mark.parametrize(
