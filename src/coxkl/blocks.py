@@ -110,8 +110,9 @@ class DimTable:
     """A coset-by-coset table of graded dimension maps.
 
     ``cells`` maps (row label, column label) to {i: dim}, with zero cells
-    omitted.  Labels are the words of the longest coset representatives;
-    ``display_names`` carries the symbolic weight names for captions.
+    omitted; equal cells of one ``andersen_table`` may share a dict.  Labels
+    are the words of the longest coset representatives; ``display_names``
+    carries the symbolic weight names for captions.
     """
 
     row_labels: tuple[str, ...]
@@ -174,11 +175,15 @@ def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
     names = tuple(block.weight_name(c) for c in block.cosets)
     label_of = {block.system._id(c.max_rep): lab for c, lab in zip(block.cosets, labels)}
     cells: dict[tuple[str, str], dict[int, int]] = {}
+    copies: dict[int, dict[int, int]] = {}  # one copy per pooled memo entry
     for xi, xlab in label_of.items():
         for yi, h in algebra._kl_raw(xi).items():
             ylab = label_of.get(yi)
             if ylab is not None:
-                cells[(ylab, xlab)] = dict(sorted(h.items()))
+                cell = copies.get(id(h))
+                if cell is None:
+                    cell = copies[id(h)] = dict(sorted(h.items()))
+                cells[(ylab, xlab)] = cell
     caption = (
         "graded dims of Hom(Delta(lambda[row]), K(lambda[col])); "
         "lambda[x] = w_long.x.lambda for the coset with longest representative x"

@@ -111,9 +111,12 @@ def run(args: argparse.Namespace) -> int:
 
     algebra = HeckeAlgebra(system)
     cache_path = _cache_path(args, system)
+    loaded = False
     try:
-        if cache_path and os.path.exists(cache_path) and not algebra.load_cache(cache_path):
-            print(f"warning: ignoring mismatched cache {cache_path}", file=sys.stderr)
+        if cache_path and os.path.exists(cache_path):
+            loaded = algebra.load_cache(cache_path)
+            if not loaded:
+                print(f"warning: ignoring mismatched cache {cache_path}", file=sys.stderr)
         status, lines = _COMMANDS[args.cmd](args, system, algebra, parabolic)
         text = "".join(f"{line}\n" for line in lines)
     except (InexactDivision, MalformedKL) as exc:
@@ -121,7 +124,8 @@ def run(args: argparse.Namespace) -> int:
         return 2
     sys.stdout.write(text)
 
-    if cache_path:
+    # An accepted cache to which this run added no row is left as it is.
+    if cache_path and (not loaded or algebra.computed_count):
         os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
         algebra.save_cache(cache_path)
     return status

@@ -336,6 +336,8 @@ class CoxeterSystem:
     def _validate_names(names: Sequence[str] | None, rank: int) -> tuple[str, ...]:
         if names is None:
             return _default_names(rank)
+        if isinstance(names, str):
+            raise CoxeterError("generator names must be a list")
         try:
             out = tuple(names)
         except TypeError:

@@ -26,6 +26,27 @@ the left.  The constants ``_H``, ``_BAR_H`` and ``_UH`` hold those actions.
 KL elements are computed by the standard recursion on the smallest left
 descent and memoized; the memo table can be persisted to a JSON cache keyed
 by a hash of the Coxeter matrix and generator order.
+
+A group has few distinct h_{y,x} (121 among the 98,407 entries of A5), so
+the algebra keeps one dict per distinct polynomial, its pool, and every memo
+entry, computed or loaded, is the pooled dict.  The recursion works on those
+shared objects: the left step on each pair {y, sy} and each mu-correction
+is one lookup in a memo keyed by the ids of its pooled operands, and only a
+miss calls ``_step`` or ``_acc``.  Pooled dicts are never mutated; what a
+public function returns is a copy.
+
+>>> from coxkl import CoxeterSystem, HeckeAlgebra
+>>> W = CoxeterSystem.from_type("A3")
+>>> A = HeckeAlgebra(W)
+>>> A.kl_table()
+>>> entries = [h for row in A._h.values() for h in row.values()]
+>>> len(entries), len({id(h) for h in entries})
+(213, 10)
+>>> x = W.parse_element("s2s1s3s2")
+>>> h = A.h_poly(W.identity, x)
+>>> h._c[2] = 9  # a copy: the pooled entry is unchanged
+>>> A.h_poly(W.identity, x)
+LaurentPoly('v^2 + v^4')
 """
 from __future__ import annotations
 
@@ -227,8 +248,10 @@ def _check_row(W: CoxeterSystem, xi: int, row: Raw) -> None:
     if row.get(xi) != {0: 1}:
         raise MalformedKL(f"uH({W.format_element(W._el(xi))}) must be unitriangular")
     lengths, lx = W._lengths, W._lengths[xi]
+    exps = [_kl_exponents(d) for d in range(lx + 1)]
     for yi, h in row.items():
-        if yi != xi and not (h and h.keys() <= _kl_exponents(lx - lengths[yi])):
+        d = lx - lengths[yi]
+        if yi != xi and not (h and d > 0 and h.keys() <= exps[d]):
             raise MalformedKL(f"{_h_name(W, yi, xi)} must lie in v*Z[v] with the length bound and parity")
 
 
@@ -246,35 +269,68 @@ class HeckeAlgebra:
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        # xid -> yid -> {exponent: coefficient}; entries are frozen once stored.
+        # xid -> yid -> {exponent: coefficient}; entries are pooled, never mutated.
         self._h: dict[int, Raw] = {}
+        # The one dict kept for each distinct polynomial, by its sorted items.
+        self._pool: dict[tuple, dict[int, int]] = {}
+        # Pool arithmetic memoized on the ids of its operands.  Each value
+        # holds its operands, so no id is reused while its entry exists.
+        self._ops: dict[tuple, tuple] = {}
         self.computed_count = 0
+
+    def _intern(self, d: dict[int, int]) -> dict[int, int]:
+        return self._pool.setdefault(tuple(sorted(d.items())), d)
 
     # -- KL recursion ---------------------------------------------------
 
     def _kl_raw(self, xi: int) -> Raw:
-        got = self._h.get(xi)
-        if got is not None:
-            return got
+        row = self._h.get(xi)
+        if row is not None:
+            return row
         W = self.system
         left = W._left
         lengths = W._lengths
         word = W._words[xi]
         if not word:
-            res: Raw = {xi: {0: 1}}
+            res: Raw = {xi: self._intern({0: 1})}
         else:
             # Pivot on the smallest left descent s (the first letter of the
             # ShortLex word); with u = sx the product uH(s) uH(u) equals
             # uH(x) + sum of mu(z, u) uH(z) over z < u with sz < z.
             s = word[0]
             C = self._kl_raw(left[xi][s])
-            T = _step(W, C, s, _UH, "left")
+            ops, intern = self._ops, self._intern
+            T: Raw = {}
+            # uH(s) uH(u) on a pair {y, sy} with y < sy depends only on
+            # (h_{y,u}, h_{sy,u}): one memo lookup per pair.
+            for yi, p in C.items():
+                ti = left[yi][s]
+                if lengths[ti] > lengths[yi]:
+                    lo, hi, a, b = yi, ti, p, C.get(ti)
+                elif ti in C:
+                    continue  # done from its lower element ti
+                else:
+                    lo, hi, a, b = ti, yi, None, p
+                key = (id(a), id(b))
+                got = ops.get(key)
+                if got is None:
+                    out = _step(W, {k: d for k, d in ((lo, a), (hi, b)) if d is not None}, s, _UH, "left")
+                    got = ops.setdefault(key, (a, b, intern(out[lo]), intern(out[hi])))
+                T[lo], T[hi] = got[2], got[3]
             for zi, p in C.items():
                 if lengths[left[zi][s]] < lengths[zi]:
                     m = p.get(1, 0)
                     if m:
                         for wi, pw in self._kl_raw(zi).items():
-                            _acc(T.setdefault(wi, {}), pw, 0, -m)
+                            # T[w] -= m h_{w,z}, one memo lookup.
+                            cur = T.get(wi)
+                            key = (id(cur), id(pw), m)
+                            got = ops.get(key)
+                            if got is None:
+                                d = dict(cur or {})
+                                _acc(d, pw, 0, -m)
+                                got = ops.setdefault(key, (cur, pw, intern(d)))
+                            T[wi] = got[2]
             res = {yi: d for yi, d in T.items() if d}
             _check_row(W, xi, res)
         self._h[xi] = res
@@ -380,6 +436,7 @@ class HeckeAlgebra:
         fingerprint and ids outside 0..order-1 return False: stale caches are
         ignored, never migrated.  A row failing the check of computed rows,
         P_{y,x}(0) = 1 or y <= x raises ``MalformedKL`` before anything is stored.
+        Loaded entries are pooled like computed ones.
         """
         W = self.system
         try:
@@ -392,10 +449,16 @@ class HeckeAlgebra:
         if data.get("coxeter_hash") != W.fingerprint:
             return False
         n, lengths = W.order, W._lengths
+        pool, intern = self._pool, self._intern
         try:
             loaded: dict[int, Raw] = {}
             for xi, entries in data["kl"]:
-                row = {yi: {int(e): int(c) for e, c in pairs if int(c)} for yi, pairs in entries}
+                # A pooled entry is found by the pairs as saved; others are built.
+                row = {
+                    yi: pool.get(tuple(map(tuple, pairs)))
+                    or intern({int(e): int(c) for e, c in pairs if int(c)})
+                    for yi, pairs in entries
+                }
                 if not all(type(i) is int and 0 <= i < n for i in (xi, *row)):
                     return False
                 _check_row(W, xi, row)

@@ -158,13 +158,15 @@ def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
     W = algebra.system
     lengths, elements = W._lengths, W.all_elements()
     labels = [W.format_element(el) for el in elements]
-    memo: dict[tuple, tuple] = {}
+    memo: dict[tuple[int, int], tuple] = {}
     reports, ih_reports = [], []
     for xi, x in enumerate(elements):
         row = algebra._kl_raw(xi)
         for yi in sorted(row):
             h, d = row[yi], lengths[xi] - lengths[yi]
-            key = (d, tuple(sorted(h.items())))
+            # Equal entries of a pooled memo are one dict; ids of live dicts
+            # are unique, so the key is right on any memo.
+            key = (d, id(h))
             local = memo.get(key)
             if local is None:
                 local = memo[key] = _local(h, d, elements[yi], x)

@@ -234,6 +234,7 @@ def test_malformed_matrix_file_is_usage_error(tmp_path):
         {"rank": 2, "matrix": 5},
         {"rank": 2, "matrix": [[1, "x"], 3]},
         {"rank": 2, "matrix": [[1, 3], [3, 1]], "names": 5},
+        {"rank": 2, "matrix": [[1, 3], [3, 1]], "names": "ab"},
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -258,6 +259,33 @@ def test_cache_warm_cold_identical(tmp_path):
     assert status2 == 0
     assert warm == cold
     assert cache.read_bytes() == first_bytes
+
+
+def test_cache_rewritten_only_when_changed(tmp_path):
+    # A command that computes new rows, or meets a mismatched cache, rewrites
+    # the file; one that finds every row it needs leaves it untouched.
+    cache = tmp_path / "kl.json"
+    base = ["--type", "A3", "--cache", str(cache)]
+    past = 10**18
+
+    def stamp():
+        os.utime(cache, ns=(past, past))
+        return cache.read_bytes()
+
+    assert run_cli([*base, "--cmd", "h", "--y", "e", "--x", "s1"])[0] == 0
+    partial = stamp()
+    assert run_cli([*base, "--cmd", "andersen"])[0] == 0
+    assert cache.stat().st_mtime_ns != past and cache.read_bytes() != partial
+    full = stamp()
+    for argv in (["--cmd", "andersen"], ["--cmd", "h", "--y", "e", "--x", "s2s1s3s2"], ["--cmd", "audit"]):
+        assert run_cli([*base, *argv])[0] == 0, argv
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == (full, past), argv
+    cache.write_text("{}")
+    stamp()
+    status, out, err = run_cli_err([*base, "--cmd", "h", "--y", "e", "--x", "s1"])
+    assert (status, out) == (0, "h(e, s1) = v\n")
+    assert err == f"warning: ignoring mismatched cache {cache}\n"
+    assert cache.stat().st_mtime_ns != past and json.loads(cache.read_text())["schema"] == 2
 
 
 def test_cache_env_dir(tmp_path):

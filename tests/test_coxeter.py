@@ -74,8 +74,9 @@ def test_bad_matrices():
     for matrix in (5, [5, 6], [[1, "x"], 3]):
         with pytest.raises(CoxeterError):
             CoxeterSystem.from_json({"rank": 2, "matrix": matrix})
-    with pytest.raises(CoxeterError):
-        CoxeterSystem.from_json({"rank": 2, "matrix": [[1, 3], [3, 1]], "names": 5})
+    for names in (5, "ab"):
+        with pytest.raises(CoxeterError, match="generator names must be a list"):
+            CoxeterSystem.from_json({"rank": 2, "matrix": [[1, 3], [3, 1]], "names": names})
 
 
 def test_infinite_matrices_rejected():

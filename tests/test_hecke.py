@@ -1,12 +1,15 @@
+import gc
 import hashlib
 import itertools
 import json
 import os
 import random
+from pathlib import Path
 
 import pytest
 
-from coxkl.coxeter import CoxeterError
+from coxkl.blocks import andersen_table, make_block
+from coxkl.coxeter import CoxeterError, CoxeterSystem
 from coxkl.hecke import CACHE_SCHEMA, HeckeAlgebra, HeckeElt, MalformedKL
 from coxkl.laurent import LaurentPoly
 from coxkl.lefschetz import ih_poincare, lefschetz_audit
@@ -168,6 +171,87 @@ def test_kl_matches_bruteforce_solver(code, system, algebra):
         assert dict(A.kl_element(x).terms) == expect
 
 
+KL_GOLDEN_GROUPS = [
+    "A1", "A2", "B2", "G2", "A3", "B3", "H3", "A4", "B4", "D4", "F4", "A5", "D5", "I2(5)", "A1xB2",
+]
+
+
+def kl_digest(A):
+    """Entry count and SHA-256 of a full KL memo, rows and entries by id."""
+    digest, count = hashlib.sha256(), 0
+    for xi, row in sorted(A._h.items()):
+        count += len(row)
+        line = [xi, [[yi, sorted(h.items())] for yi, h in sorted(row.items())]]
+        digest.update(json.dumps(line).encode() + b"\n")
+    return count, digest.hexdigest()
+
+
+def test_kl_golden():
+    # Entry count and kl_digest of the full table of every listed group,
+    # recorded from the recursion that kept one dict per memo entry.
+    golden = json.loads((Path(__file__).parent / "data" / "kl_golden.json").read_text())
+    assert [g["group"] for g in golden] == KL_GOLDEN_GROUPS
+    for g in golden:
+        W = CoxeterSystem(g["matrix"]) if "matrix" in g else CoxeterSystem.from_type(g["group"])
+        A = HeckeAlgebra(W)
+        A.kl_table()
+        assert kl_digest(A) == (g["entries"], g["sha256"]), g["group"]
+
+
+def test_equal_entries_are_one_pooled_dict(system):
+    # A5 has 121 distinct h_{y,x} among its 98,407 memo entries.
+    A = HeckeAlgebra(system("A5"))
+    A.kl_table()
+    entries = [h for row in A._h.values() for h in row.values()]
+    assert len(entries) == 98407
+    assert len({id(h) for h in entries}) == len({tuple(sorted(h.items())) for h in entries}) == 121
+
+
+def test_results_are_copies_of_the_pool(system):
+    # Mutating what h_poly, kl_element and andersen_table return leaves the
+    # memo, and every later result, unchanged.
+    W = system("A3")
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    before = kl_digest(A)
+    block = make_block(W, [0])
+    table = andersen_table(block, A)
+    cells = {k: dict(c) for k, c in table.cells.items()}
+    x = W.parse_element("s2s1s3s2")
+    A.h_poly(W.identity, x)._c[2] = 9
+    for p in A.kl_element(x).terms.values():
+        p._c[7] = 1
+    for cell in table.cells.values():
+        cell[99] = 1
+    assert kl_digest(A) == before
+    assert A.h_poly(W.identity, x) == v**2 + v**4
+    assert andersen_table(block, A).cells == cells
+
+
+def test_fresh_memo_dicts_never_meet_stale_ops(system):
+    # Pool arithmetic is memoized on operand ids.  Build the table in eight
+    # rounds; after each, rebuild every memo row as fresh, equal, unpooled
+    # dicts, in reverse order, once the old ones and the pool are dropped, so
+    # that freed addresses come back holding other polynomials.  The table
+    # must still be right.
+    W = system("B3")
+    A = HeckeAlgebra(W)
+    for stop in range(W.order // 8, W.order + 1, W.order // 8):
+        for xi in range(stop):
+            A._kl_raw(xi)
+        saved = [(xi, [(yi, sorted(h.items())) for yi, h in row.items()]) for xi, row in A._h.items()]
+        A._h.clear()
+        A._pool.clear()
+        gc.collect()
+        for xi, row in reversed(saved):
+            A._h[xi] = {yi: dict(items) for yi, items in reversed(row)}
+    solved = kl_basis_bruteforce(W)
+    for x in W.all_elements():
+        assert dict(A.kl_element(x).terms) == {y: LaurentPoly(p) for y, p in solved[x].items()}
+    # Each memo value holds the operands its key names, so none was freed.
+    assert all(key[:2] == (id(val[0]), id(val[1])) for key, val in A._ops.items())
+
+
 @pytest.mark.parametrize("code", ["A3", "B2"])
 def test_coset_constancy(code, system, algebra):
     # P_{y,x} = P_{yz,x} whenever every generator of W_I is a right descent of x.
@@ -268,6 +352,9 @@ def test_cache_roundtrip(tmp_path, system):
     a2 = HeckeAlgebra(W)
     assert a2.load_cache(path)
     assert a2.computed_count == 0
+    # Loaded entries go through the pool: equal entries are one dict.
+    entries = [h for row in a2._h.values() for h in row.values()]
+    assert len({id(h) for h in entries}) == len({tuple(sorted(h.items())) for h in entries}) == 10
     for x in W.all_elements():
         for y in W.all_elements():
             assert a2.h_poly(y, x) == a1.h_poly(y, x)
@@ -362,6 +449,11 @@ def test_malformed_kl_guard(system):
     a._h[xi] = {W._id(W.identity): {5: 1}, xi: {0: 1}}  # impossible degree
     with pytest.raises(MalformedKL):
         a.kl_polynomial(W.identity, W.parse_element("st"))
+    # A y longer than x is refused even when its exponents would fit l(y) - l(x).
+    si = W._id(W.parse_element("s"))
+    a._h[si] = {xi: {1: 1}, si: {0: 1}}
+    with pytest.raises(MalformedKL):
+        ih_poincare(a, W.parse_element("s"))
 
 
 def test_tampered_memo_raises_malformed_kl(system):
