@@ -213,6 +213,16 @@ def _ih(args, system, algebra, parabolic):
 def _audit(args, system, algebra, parabolic):
     result = lefschetz_audit(algebra)
     reps, ihs = result.reports, result.ih_reports
+    # Reports with equal (d, h) share one poly, and result keeps every poly
+    # alive, so each distinct one is formatted once.
+    formatted: dict[int, str] = {}
+
+    def fmt_q(p) -> str:
+        text = formatted.get(id(p))
+        if text is None:
+            text = formatted[id(p)] = p.format("q")
+        return text
+
     if not result.passed:
         print("internal inconsistency: lefschetz audit failed", file=sys.stderr)
     return 0 if result.passed else 2, _render(
@@ -225,7 +235,7 @@ def _audit(args, system, algebra, parabolic):
         ),
         chain(
             (
-                f"{'ok' if r.passed else 'FAIL'} local ({r.y_label}, {r.x_label}) poly={r.poly.format('q')}"
+                f"{'ok' if r.passed else 'FAIL'} local ({r.y_label}, {r.x_label}) poly={fmt_q(r.poly)}"
                 for r in reps
             ),
             (f"{'ok' if r.palindromic else 'FAIL'} ih {r.x_label} poly={r.poly.format('q')}" for r in ihs),

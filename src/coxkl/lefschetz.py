@@ -19,7 +19,9 @@ IP_x(q) = sum_{y <= x} q^l(y) P_{y,x}(q), which must be palindromic about
 l(x)/2.  ``lefschetz_audit`` batch-verifies both families over a whole group.
 The local verdict depends only on (h_{y,x}, d), of which a group has few (60
 over the 9,817 Bruhat pairs of D4): the audit computes it once per distinct
-(h, d) and shares it between reports, and sums each IP_x from the KL memo.
+(h, d) and sums each IP_x from the KL memo.  The reports are ``NamedTuple``
+records, built row by row, and every report with one (h, d) shares its
+verdict: the same ``poly`` object and flags.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A3")
@@ -32,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .coxeter import CoxeterSystem, Element
 from .hecke import HeckeAlgebra, Raw, _check_row, _kl_p
@@ -47,12 +50,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
+class LefschetzReport(NamedTuple):
     """Outcome of the local check for one ordered pair (y, x).
 
     ``poly`` is zero exactly when y = x or the pair is incomparable, in
-    which case the three verdicts are vacuously true.
+    which case the three verdicts are vacuously true.  A record: immutable,
+    equal by fields, and a tuple.
     """
 
     y: Element
@@ -84,9 +87,8 @@ class LefschetzReport:
         )
 
 
-@dataclass(frozen=True)
-class IHReport:
-    """Global Poincare-duality verdict for one Schubert closure."""
+class IHReport(NamedTuple):
+    """Global Poincare-duality verdict for one Schubert closure; a record."""
 
     x: Element
     x_label: str
@@ -158,19 +160,20 @@ def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
     W = algebra.system
     lengths, elements = W._lengths, W.all_elements()
     labels = [W.format_element(el) for el in elements]
+    # (d, id(h)) -> (d, poly, palindromic, unimodal, nonneg).  Equal entries
+    # of a pooled memo are one dict; ids of live dicts are unique, so the key
+    # is right on any memo.
     memo: dict[tuple[int, int], tuple] = {}
+    make = LefschetzReport._make
     reports, ih_reports = [], []
     for xi, x in enumerate(elements):
         row = algebra._kl_raw(xi)
-        for yi in sorted(row):
-            h, d = row[yi], lengths[xi] - lengths[yi]
-            # Equal entries of a pooled memo are one dict; ids of live dicts
-            # are unique, so the key is right on any memo.
-            key = (d, id(h))
-            local = memo.get(key)
-            if local is None:
-                local = memo[key] = _local(h, d, elements[yi], x)
-            reports.append(LefschetzReport(elements[yi], x, labels[yi], labels[xi], d, *local))
+        lx, xlab, ys = lengths[xi], labels[xi], sorted(row)
+        for yi in ys:
+            key = (lx - lengths[yi], id(row[yi]))
+            if key not in memo:
+                memo[key] = (key[0], *_local(row[yi], key[0], elements[yi], x))
+        reports += [make((elements[yi], x, labels[yi], xlab) + memo[lx - lengths[yi], id(row[yi])]) for yi in ys]
         poly = _ih(W, xi, row)
         ih_reports.append(IHReport(x, labels[xi], poly, poly.is_palindromic(Fraction(lengths[xi], 2))))
     return AuditResult(reports=tuple(reports), ih_reports=tuple(ih_reports))

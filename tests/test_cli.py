@@ -129,13 +129,18 @@ def test_internal_inconsistency_exit_code(monkeypatch):
 
 
 def _tampered_cache(path, group, y, x, h):
-    # A cache of group whose one row, that of x, holds h as h_{y,x}.
+    # A cache of group whose one row, that of x, holds h as h_{y,x}; with h
+    # None, the full table of group less h_{y,x}.
     from coxkl import CoxeterSystem, HeckeAlgebra
 
     W = CoxeterSystem.from_type(group)
     a = HeckeAlgebra(W)
-    xi = W._id(W.parse_element(x))
-    a._h[xi] = {W._id(W.parse_element(y)): h, xi: {0: 1}}
+    xi, yi = W._id(W.parse_element(x)), W._id(W.parse_element(y))
+    if h is None:
+        a.kl_table()
+        del a._h[xi][yi]
+    else:
+        a._h[xi] = {yi: h, xi: {0: 1}}
     a.save_cache(path)
     return path
 
@@ -151,6 +156,9 @@ TAMPERED = [
     # Degree and parity fit: 5v^2 has P(0) = 0, and s3 is not below s1s2.
     ("A3", "e", "s2s1s3s2", {2: 5}, ["--cmd", "h", "--y", "e", "--x", "s2s1s3s2"]),
     ("A3", "s3", "s1s2", {1: 1}, ["--cmd", "h", "--y", "s3", "--x", "s1s2"]),
+    # A full table less h_{e,s2s1s3s2}: the row of x must cover [e, x].
+    ("A3", "e", "s2s1s3s2", None, ["--cmd", "h", "--y", "e", "--x", "s2s1s3s2"]),
+    ("A3", "e", "s2s1s3s2", None, ["--cmd", "ih", "--x", "s2s1s3s2"]),
 ]
 
 

@@ -442,6 +442,22 @@ def test_partial_cache_is_extended(tmp_path, system):
         assert a2.kl_element(x) == full.kl_element(x)
 
 
+@pytest.mark.parametrize("code", ["B3", "H3"])
+def test_one_row_cache_is_accepted(tmp_path, system, code):
+    # With no row of u = sx in the file or the memo, the interval [e, x] that
+    # the row of x must cover is derived from the group.
+    W = system(code)
+    full = HeckeAlgebra(W)
+    full.kl_table()
+    path = tmp_path / "one.json"
+    for xi, row in full._h.items():
+        a = HeckeAlgebra(W)
+        a._h[xi] = row
+        a.save_cache(path)
+        b = HeckeAlgebra(W)
+        assert b.load_cache(path) and b._h == {xi: row}
+
+
 def test_malformed_kl_guard(system):
     W = system("A2")
     a = HeckeAlgebra(W)
@@ -487,15 +503,21 @@ def test_tampered_memo_raises_malformed_kl(system):
         ("s", "st", {1: 1}),  # y longer than x
         ("sts", "sts", {0: 2}),  # not unitriangular
         ("sts", "e", {1: 1}),  # degree and parity fit, but P_{e,sts}(0) = 0
+        ("sts", "e", None),  # a missing entry: the row must cover [e, sts]
     ],
 )
 def test_load_cache_rejects_malformed_rows(tmp_path, system, x, y, h):
-    # Every loaded row gets the degree and parity check of computed ones, and
-    # P_{y,x}(0) = 1: a bad row raises MalformedKL and nothing is stored.
+    # Every loaded row gets the degree and parity check of computed ones,
+    # P_{y,x}(0) = 1 and covers exactly [e, x]: a bad row raises MalformedKL
+    # and nothing is stored.
     W = system("A2")
     a = HeckeAlgebra(W)
     a.kl_table()
-    a._h[W._id(W.parse_element(x))][W._id(W.parse_element(y))] = h
+    row, yi = a._h[W._id(W.parse_element(x))], W._id(W.parse_element(y))
+    if h is None:
+        del row[yi]
+    else:
+        row[yi] = h
     path = tmp_path / "kl.json"
     a.save_cache(path)
     b = HeckeAlgebra(W)

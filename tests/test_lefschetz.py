@@ -171,3 +171,30 @@ def test_report_json_lines(system, algebra):
     parsed = json.loads(line)
     assert parsed["x"] == "sts"
     assert parsed["palindromic"]
+
+
+def test_reports_are_immutable_records(system, algebra):
+    W, A = system("A2"), algebra("A2")
+    result = lefschetz_audit(A)
+    for rep in (result.reports[0], result.ih_reports[0], local_lefschetz_poly(A, W.identity, W.identity)):
+        with pytest.raises(AttributeError):
+            rep.poly = one
+        with pytest.raises(AttributeError):
+            rep.x_label = "t"
+    rep = local_lefschetz_poly(A, W.identity, W.parse_element("sts"))
+    assert rep == local_lefschetz_poly(A, W.identity, W.parse_element("sts"))
+    assert rep._fields[:5] == ("y", "x", "y_label", "x_label", "d")
+
+
+def test_audit_reports_share_one_poly_per_verdict(system):
+    # One verdict, and so one poly object, per distinct (d, h) of the memo:
+    # 121 over the 98,407 reports of A5.
+    from coxkl.hecke import HeckeAlgebra
+
+    W = system("A5")
+    A = HeckeAlgebra(W)
+    result = lefschetz_audit(A)
+    lengths = W._lengths
+    keys = {(lengths[xi] - lengths[yi], id(h)) for xi, row in A._h.items() for yi, h in row.items()}
+    assert len(result.reports) == 98407
+    assert len({id(r.poly) for r in result.reports}) == len(keys) == 121
