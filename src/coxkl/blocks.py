@@ -20,7 +20,8 @@ The two deliverables are
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable
 
@@ -51,15 +52,11 @@ class BlockData:
     w_long: Element
     w_iota: Element
     cosets: tuple[Coset, ...]
-    _by_min: dict[Element, Coset] = field(repr=False, hash=False, compare=False, default_factory=dict)
 
     def coset_of(self, a: Element) -> Coset:
-        """The coset a*W_I containing a."""
-        if not self._by_min:
-            for c in self.cosets:
-                self._by_min[c.min_rep] = c
-        key = self.system.coset_min_rep(self.parabolic, a)
-        return self._by_min[key]
+        """The coset a*W_I containing a, found by bisecting on its max rep."""
+        key = self.system.coset_max_rep(self.parabolic, a).sort_key
+        return self.cosets[bisect_left(self.cosets, key, key=lambda c: c.max_rep.sort_key)]
 
     def label(self, c: Coset) -> str:
         """Canonical coset label: the word of the longest representative."""
@@ -77,13 +74,12 @@ class BlockData:
 def make_block(system: CoxeterSystem, parabolic: Iterable[int]) -> BlockData:
     """Assemble the block datum for (W, I)."""
     I = tuple(sorted(set(parabolic)))
-    cosets = sorted(system.cosets(I), key=lambda c: c.max_rep.sort_key)
     return BlockData(
         system=system,
         parabolic=I,
         w_long=system.longest_element(),
         w_iota=system.longest_element(I),
-        cosets=tuple(cosets),
+        cosets=tuple(sorted(system.cosets(I), key=lambda c: c.max_rep.sort_key)),
     )
 
 

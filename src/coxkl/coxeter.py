@@ -8,6 +8,8 @@ transitively on that orbit, so the n-vector x^{-1}(rho) names x.  A
 breadth-first search over right multiplication by generators records
 multiplication-by-generator tables, lengths and inverses, so that every later
 operation is table lookup; descent sets are read off those tables.
+Bruhat intervals come from one subword recursion (W_I is [e, w_I]), and a
+system holds no state that changes after construction.
 Elements are identified with their ShortLex-least reduced word under the
 generator order fixed at construction; ``all_elements()`` lists them sorted
 by (length, word), and every other ordering in the package derives from that.
@@ -270,9 +272,7 @@ def _uniquely_decodable(names: Sequence[str]) -> bool:
 class CoxeterSystem:
     """A finite Coxeter group with precomputed Cayley tables.
 
-    Immutable after construction apart from a lazily filled Bruhat-order
-    memo, whose entries are idempotent booleans; concurrent readers may
-    duplicate work but always observe consistent values.
+    Immutable after construction: every query reads the tables built there.
 
     >>> W = CoxeterSystem.from_type("A2")
     >>> W.order
@@ -302,7 +302,6 @@ class CoxeterSystem:
         self._enumerate(max_elements)
         if self.order != expected_order:
             raise CoxeterError("enumeration disagrees with the catalog order")
-        self._bruhat_cache: dict[tuple[int, int], bool] = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -442,6 +441,8 @@ class CoxeterSystem:
             matrix = data["matrix"]
         except (TypeError, KeyError) as exc:
             raise CoxeterError(f"matrix JSON needs 'rank' and 'matrix' keys: {exc}")
+        if isinstance(rank, bool) or not isinstance(rank, int):
+            raise CoxeterError(f"rank must be an int, got {rank!r}")
         rows = cls._validate_matrix(matrix)
         if len(rows) != rank:
             raise CoxeterError(f"declared rank {rank} but matrix has {len(rows)} rows")
@@ -590,28 +591,27 @@ class CoxeterSystem:
         return self._elements
 
     def bruhat_leq(self, y: Element, x: Element) -> bool:
-        """Bruhat order, via the descent recursion on the left."""
+        """Bruhat order, via the lifting property on the left."""
         return self._bruhat_leq(self._id(y), self._id(x))
 
     def _bruhat_leq(self, yi: int, xi: int) -> bool:
-        lengths = self._lengths
-        if lengths[yi] > lengths[xi]:
-            return False
-        if lengths[yi] == lengths[xi]:
-            return yi == xi
-        key = (yi, xi)
-        got = self._bruhat_cache.get(key)
-        if got is None:
-            # Take s with sx < x; then y <= x iff (sy <= sx if sy < y else y <= sx).
-            s = self._words[xi][0]
-            sx = self._left[xi][s]
-            sy = self._left[yi][s]
+        lengths, left, words = self._lengths, self._left, self._words
+        # Take s with sx < x; then y <= x iff (sy <= sx if sy < y else y <= sx).
+        while lengths[yi] < lengths[xi]:
+            s = words[xi][0]
+            xi = left[xi][s]
+            sy = left[yi][s]
             if lengths[sy] < lengths[yi]:
-                got = self._bruhat_leq(sy, sx)
-            else:
-                got = self._bruhat_leq(yi, sx)
-            self._bruhat_cache[key] = got
-        return got
+                yi = sy
+        return yi == xi
+
+    def _interval(self, xi: int) -> set[int]:
+        # The ids of [e, x]: fold x's reduced word from the right, where each
+        # step has su > u and so [e, su] = [e, u] | s[e, u] (Bjorner-Brenti, ch. 2).
+        left, below = self._left, {0}
+        for s in reversed(self._words[xi]):
+            below |= {left[yi][s] for yi in below}
+        return below
 
     # -- parabolic subgroups and cosets -------------------------------------
 
@@ -623,17 +623,9 @@ class CoxeterSystem:
         return out
 
     def parabolic_elements(self, I: Iterable[int]) -> tuple[Element, ...]:
-        """The standard parabolic subgroup W_I, sorted by (length, word)."""
-        I = self._check_subset(I)
-        seen = {0}
-        queue = [0]
-        for i in queue:
-            for s in I:
-                j = self._right[i][s]
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return tuple(self._elements[i] for i in sorted(seen))
+        """The standard parabolic subgroup W_I = [e, w_I], sorted by (length, word)."""
+        w_I = self._ascend(0, self._check_subset(I))
+        return tuple(self._elements[i] for i in sorted(self._interval(w_I)))
 
     def longest_element(self, I: Iterable[int] | None = None) -> Element:
         """The longest element of W_I (of the whole group when I is None)."""
@@ -651,42 +643,27 @@ class CoxeterSystem:
             else:
                 return i
 
-    def _descend(self, i: int, I: tuple[int, ...]) -> int:
-        lengths, right = self._lengths, self._right
-        while True:
-            for s in I:
-                j = right[i][s]
-                if lengths[j] < lengths[i]:
-                    i = j
-                    break
-            else:
-                return i
-
     def coset_max_rep(self, I: Iterable[int], a: Element) -> Element:
         """Longest element of a*W_I; every s in I is one of its right descents."""
         return self._elements[self._ascend(self._id(a), self._check_subset(I))]
 
     def coset_min_rep(self, I: Iterable[int], a: Element) -> Element:
         """Shortest element of a*W_I; no s in I is one of its right descents."""
-        return self._elements[self._descend(self._id(a), self._check_subset(I))]
+        I = self._check_subset(I)
+        return self.multiply(self.coset_max_rep(I, a), self.longest_element(I))
 
     def cosets(self, I: Iterable[int]) -> tuple[Coset, ...]:
         """Partition of the group into cosets a*W_I, sorted by minimal rep."""
         I = self._check_subset(I)
+        # Keyed by max rep; ids ascend in (length, word) order, so m[0] is the min rep.
         groups: dict[int, list[int]] = {}
         for i in range(self.order):
-            groups.setdefault(self._descend(i, I), []).append(i)
-        out = []
-        for mini in sorted(groups):
-            members = sorted(groups[mini])
-            out.append(
-                Coset(
-                    min_rep=self._elements[mini],
-                    max_rep=self._elements[members[-1]],
-                    elements=tuple(self._elements[j] for j in members),
-                )
-            )
-        return tuple(out)
+            groups.setdefault(self._ascend(i, I), []).append(i)
+        els = self._elements
+        return tuple(
+            Coset(min_rep=els[m[0]], max_rep=els[m[-1]], elements=tuple(els[j] for j in m))
+            for m in groups.values()
+        )
 
     def balanced_poincare(self, I: Iterable[int]) -> LaurentPoly:
         """Sum of v^(l(w_I) - 2 l(z)) over z in W_I; bar-invariant by symmetry."""

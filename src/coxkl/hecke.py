@@ -436,8 +436,9 @@ class HeckeAlgebra:
         fingerprint and ids outside 0..order-1 return False: stale caches are
         ignored, never migrated.  A row failing the check of computed rows,
         P_{y,x}(0) = 1, or whose y are not exactly the Bruhat interval [e, x],
-        raises ``MalformedKL`` before anything is stored.  Loaded entries are
-        pooled like computed ones.
+        raises ``MalformedKL`` before anything is stored.  [e, x] is built from
+        the row of u = sx when the file or the memo holds it, else by
+        ``CoxeterSystem._interval``.  Loaded entries are pooled like computed ones.
         """
         W = self.system
         try:
@@ -452,20 +453,16 @@ class HeckeAlgebra:
         n, lengths, left, words = W.order, W._lengths, W._left, W._words
         pool, intern = self._pool, self._intern
         loaded: dict[int, Raw] = {}
-        derived: dict[int, set[int]] = {}
 
         def interval(xi: int) -> set[int]:
-            # [e, x] = [e, u] | s[e, u], with s the first letter of x and u = sx.
-            # [e, u] is the key set of u's row once it is checked or in the
-            # memo, else derived from the group.
-            if not xi:
-                return {0}
-            s = words[xi][0]
-            ui = left[xi][s]
-            below = loaded.get(ui) or self._h.get(ui) or derived.get(ui)
-            if below is None:
-                below = derived[ui] = interval(ui)
-            return {*below, *(left[yi][s] for yi in below)}
+            # [e, x] = [e, u] | s[e, u], with s the first letter of x and u = sx,
+            # when u's row is loaded or in the memo; else from the group.
+            if xi:
+                s = words[xi][0]
+                below = loaded.get(left[xi][s]) or self._h.get(left[xi][s])
+                if below is not None:
+                    return {*below, *(left[yi][s] for yi in below)}
+            return W._interval(xi)
 
         p0_ok: set[tuple[int, int]] = set()
         try:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 
@@ -10,7 +11,7 @@ from coxkl.blocks import (
     make_block,
     total_hom_dim,
 )
-from coxkl.coxeter import CoxeterError
+from coxkl.coxeter import CoxeterError, CoxeterSystem
 
 from oracles import poly_ring_series
 
@@ -42,6 +43,34 @@ def test_coset_of(system):
     block = make_block(W, [1])
     assert block.coset_of(W.parse_element("ts")) == block.coset_of(W.parse_element("sts"))
     assert block.coset_of(W.identity).max_rep == W.parse_element("t")
+
+
+@pytest.mark.parametrize("code", ["B3", "H3"])
+def test_coset_of_every_element(code, system):
+    W = system(code)
+    for I in all_subsets(W.rank):
+        block = make_block(W, I)
+        for a in W.all_elements():
+            c = block.coset_of(a)
+            assert a in c.elements
+            assert any(c is d for d in block.cosets)
+            assert W.coset_min_rep(I, a) == min(c.elements, key=lambda z: z.sort_key)
+
+
+def test_queries_leave_system_and_block_unchanged():
+    W = CoxeterSystem.from_type("B3")
+    block = make_block(W, [0])
+    w_before = copy.deepcopy(vars(W))
+    # The memo keeps W itself, so the block's snapshot shares the system.
+    b_before = copy.deepcopy(vars(block), {id(W): W})
+    els = W.all_elements()
+    for y in els:
+        for x in els:
+            W.bruhat_leq(y, x)
+    for a in els:
+        block.coset_of(a)
+    assert vars(W) == w_before
+    assert vars(block) == b_before
 
 
 def test_andersen_dims_examples(system, algebra):

@@ -243,6 +243,9 @@ def test_malformed_matrix_file_is_usage_error(tmp_path):
         {"rank": 2, "matrix": [[1, "x"], 3]},
         {"rank": 2, "matrix": [[1, 3], [3, 1]], "names": 5},
         {"rank": 2, "matrix": [[1, 3], [3, 1]], "names": "ab"},
+        {"rank": "2", "matrix": [[1, 3], [3, 1]]},
+        {"rank": 2.0, "matrix": [[1, 3], [3, 1]]},
+        {"rank": True, "matrix": [[1]]},
     ):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -77,6 +77,9 @@ def test_bad_matrices():
     for names in (5, "ab"):
         with pytest.raises(CoxeterError, match="generator names must be a list"):
             CoxeterSystem.from_json({"rank": 2, "matrix": [[1, 3], [3, 1]], "names": names})
+    for rank, matrix in (("2", [[1, 3], [3, 1]]), (2.0, [[1, 3], [3, 1]]), (True, [[1]])):
+        with pytest.raises(CoxeterError, match="rank must be an int"):
+            CoxeterSystem.from_json({"rank": rank, "matrix": matrix})
 
 
 def test_infinite_matrices_rejected():
@@ -245,12 +248,23 @@ def test_bruhat_examples(system):
     assert not W.bruhat_leq(W.parse_element("st"), W.parse_element("ts"))
 
 
-@pytest.mark.parametrize("code", ["A3", "B2"])
+@pytest.mark.parametrize("code", ["A3", "B2", "G2"])
 def test_bruhat_matches_subword_property(code, system):
     W = system(code)
-    for y in W.all_elements():
-        for x in W.all_elements():
-            assert W.bruhat_leq(y, x) == subword_leq(W, y, x)
+    els = W.all_elements()
+    for xi, x in enumerate(els):
+        below = {yi for yi, y in enumerate(els) if subword_leq(W, y, x)}
+        assert {yi for yi, y in enumerate(els) if W.bruhat_leq(y, x)} == below
+        assert W._interval(xi) == below
+
+
+@pytest.mark.parametrize("code", ["A4", "B3", "H3", "D4"])
+def test_interval_matches_kl_rows(code, system, algebra):
+    # By KL positivity h_{y,x} != 0 exactly on [e, x]: the KL recursion is a
+    # derivation of the interval independent of the subword fold.
+    W, A = system(code), algebra(code)
+    for xi in range(W.order):
+        assert W._interval(xi) == A._kl_raw(xi).keys()
 
 
 # -- parabolic machinery -------------------------------------------------------
@@ -305,22 +319,25 @@ def test_coset_partition_properties(code, system):
 
 
 def test_parabolic_elements_are_the_subgroup(system):
-    W = system("A3")
-    for I in all_subsets(W.rank):
-        sub = set(W.parabolic_elements(I))
-        gens = [W.generators[s] for s in I]
-        closure = {W.identity}
-        frontier = [W.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = W.multiply(a, g)
-                    if b not in closure:
-                        closure.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        assert sub == closure
+    # Referee: the closure of {e} under right multiplication by I.
+    for code in ("A3", "A4", "B3", "H3"):
+        W = system(code)
+        for I in all_subsets(W.rank):
+            sub = W.parabolic_elements(I)
+            assert [z.sort_key for z in sub] == sorted(z.sort_key for z in sub)
+            gens = [W.generators[s] for s in I]
+            closure = {W.identity}
+            frontier = [W.identity]
+            while frontier:
+                nxt = []
+                for a in frontier:
+                    for g in gens:
+                        b = W.multiply(a, g)
+                        if b not in closure:
+                            closure.add(b)
+                            nxt.append(b)
+                frontier = nxt
+            assert set(sub) == closure, (code, I)
 
 
 def test_balanced_poincare_examples(system):
