@@ -26,7 +26,7 @@ from .blocks import andersen_table, equivariant_hom_series, make_block
 from .coxeter import CoxeterError, CoxeterSystem
 from .hecke import HeckeAlgebra, MalformedKL
 from .laurent import InexactDivision
-from .lefschetz import ih_poincare, lefschetz_audit, local_lefschetz_poly
+from .lefschetz import _json_lines, ih_poincare, lefschetz_audit, local_lefschetz_poly
 
 __all__ = ["UsageError", "build_parser", "run", "main"]
 
@@ -227,7 +227,7 @@ def _audit(args, system, algebra, parabolic):
         print("internal inconsistency: lefschetz audit failed", file=sys.stderr)
     return 0 if result.passed else 2, _render(
         args.fmt,
-        (r.to_json_line() for r in chain(reps, ihs)),
+        chain(_json_lines(reps), (r.to_json_line() for r in ihs)),
         "kind,y,x,d,palindromic,unimodal,nonneg",
         chain(
             (("local", r.y_label, r.x_label, r.d, r.palindromic, r.unimodal, r.nonneg) for r in reps),

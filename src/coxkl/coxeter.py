@@ -613,6 +613,34 @@ class CoxeterSystem:
             below |= {left[yi][s] for yi in below}
         return below
 
+    def _graph_automorphisms(self) -> list[list[int]]:
+        # The id tables x -> sigma(x) of the permutations sigma of the
+        # generators with m(sigma s, sigma t) = m(s, t) that map each connected
+        # component of the Coxeter graph to itself; the identity comes first.
+        m, n = self._matrix, self.rank
+        comp = list(range(n))  # the smallest generator of each one's component
+        for _ in range(n):
+            comp = [min(comp[t] for t in range(n) if m[s][t] != 2) for s in range(n)]
+        perms: list[tuple[int, ...]] = [()]
+        for k in range(n):
+            perms = [
+                p + (t,)
+                for p in perms
+                for t in range(n)
+                if comp[t] == comp[k] and t not in p and all(m[t][p[j]] == m[k][j] for j in range(k))
+            ]
+        # sigma(x) for x = us with s its last letter is sigma(u) sigma(s), and
+        # u = xs precedes x in id order.
+        right, words = self._right, self._words
+        tables = []
+        for sigma in perms:
+            g = [0] * self.order
+            for i in range(1, self.order):
+                s = words[i][-1]
+                g[i] = right[g[right[i][s]]][sigma[s]]
+            tables.append(g)
+        return tables
+
     # -- parabolic subgroups and cosets -------------------------------------
 
     def _check_subset(self, I: Iterable[int]) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .coxeter import CoxeterSystem, Element
 from .hecke import HeckeAlgebra, Raw, _check_row, _kl_p
@@ -73,18 +73,34 @@ class LefschetzReport(NamedTuple):
         return self.palindromic and self.unimodal and self.nonneg
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "pair": [self.y_label, self.x_label],
-                "d": self.d,
-                "poly": self.poly.pairs(),
-                "palindromic": self.palindromic,
-                "unimodal": self.unimodal,
-                "nonneg": self.nonneg,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        head, tail = _json_parts(*self[4:])
+        return f"{head}{json.dumps(self.y_label)},{json.dumps(self.x_label)}{tail}"
+
+
+def _json_parts(d: int, poly: LaurentPoly, palindromic: bool, unimodal: bool, nonneg: bool) -> tuple[str, str]:
+    # A local report's JSON line, keys sorted, split around its two labels:
+    # the text before and after y_label,x_label in "pair":[...].
+    line = json.dumps(
+        {"pair": 0, "d": d, "poly": poly.pairs(), "palindromic": palindromic, "unimodal": unimodal, "nonneg": nonneg},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    head, tail = line.split('"pair":0')
+    return head + '"pair":[', "]" + tail
+
+
+def _json_lines(reports: Sequence[LefschetzReport]) -> Iterator[str]:
+    # to_json_line() of each report, with one _json_parts per verdict and one
+    # json.dumps per label.  As in lefschetz_audit, reports with one verdict
+    # share its poly, which the reports keep alive, so (d, id(poly)) names it.
+    parts: dict[tuple[int, int], tuple[str, str]] = {}
+    quoted: dict[str, str] = {}
+    for r in reports:
+        key = (r.d, id(r.poly))
+        head, tail = parts.get(key) or parts.setdefault(key, _json_parts(*r[4:]))
+        y = quoted.get(r.y_label) or quoted.setdefault(r.y_label, json.dumps(r.y_label))
+        x = quoted.get(r.x_label) or quoted.setdefault(r.x_label, json.dumps(r.x_label))
+        yield f"{head}{y},{x}{tail}"
 
 
 class IHReport(NamedTuple):

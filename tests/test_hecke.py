@@ -10,7 +10,7 @@ import pytest
 
 from coxkl.blocks import andersen_table, make_block
 from coxkl.coxeter import CoxeterError, CoxeterSystem
-from coxkl.hecke import CACHE_SCHEMA, HeckeAlgebra, HeckeElt, MalformedKL
+from coxkl.hecke import CACHE_SCHEMA, HeckeAlgebra, HeckeElt, MalformedKL, _symmetries
 from coxkl.laurent import LaurentPoly
 from coxkl.lefschetz import ih_poincare, lefschetz_audit
 
@@ -173,6 +173,7 @@ def test_kl_matches_bruteforce_solver(code, system, algebra):
 
 KL_GOLDEN_GROUPS = [
     "A1", "A2", "B2", "G2", "A3", "B3", "H3", "A4", "B4", "D4", "F4", "A5", "D5", "I2(5)", "A1xB2",
+    "A1xA1xA1", "A2xA2", "A3 reordered", "D4 reordered",
 ]
 
 
@@ -196,6 +197,81 @@ def test_kl_golden():
         A = HeckeAlgebra(W)
         A.kl_table()
         assert kl_digest(A) == (g["entries"], g["sha256"]), g["group"]
+
+
+# Groups whose symmetry group G = <inversion> x Aut0 is worth a look: Aut0 is
+# S3 on D4, trivial on B_n (n >= 3) and H3, a flip on each A2 of A2xA2
+# (generators interleaved), and trivial on A1xA1xA1, whose swaps of
+# components are left out.
+SYM_GROUPS = {
+    "D4": 12, "A5": 4, "F4": 4, "G2": 4, "I2(5)": 4, "B4": 2, "H3": 2,
+    "A1xA1xA1": 2, "A2xA2": 8, "A3 reordered": 4,
+}
+SYM_MATRICES = {
+    "I2(5)": [[1, 5], [5, 1]],
+    "A1xA1xA1": [[1, 2, 2], [2, 1, 2], [2, 2, 1]],
+    "A2xA2": [[1, 2, 3, 2], [2, 1, 2, 3], [3, 2, 1, 2], [2, 3, 2, 1]],
+    "A3 reordered": [[1, 3, 3], [3, 1, 2], [3, 2, 1]],
+}
+
+
+def sym_system(system, name):
+    return CoxeterSystem(SYM_MATRICES[name]) if name in SYM_MATRICES else system(name)
+
+
+@pytest.mark.parametrize("name", sorted(SYM_GROUPS))
+def test_symmetry_group_order(name, system):
+    assert len(_symmetries(sym_system(system, name))) + 1 == SYM_GROUPS[name]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "H3", "G2", "I2(5)", "A1xA1xA1", "A2xA2", "A3 reordered"])
+def test_symmetry_tables_intertwine(name, system):
+    # Each table is a length-preserving bijection g of W that sends the
+    # generators to generators by a sigma with m(sigma s, sigma t) = m(s, t),
+    # and either g(xs) = g(x) sigma(s) for all x, s (a graph automorphism) or
+    # g(xs) = sigma(s) g(x) (the inversion times one).  The inversion itself
+    # is there, and it swaps _right and _left.
+    W = sym_system(system, name)
+    n, right, left, lengths, m = W.order, W._right, W._left, W._lengths, W.coxeter_matrix
+    gens = right[0]
+    for g, back in _symmetries(W):
+        assert sorted(g) == list(range(n)) and all(back[g[i]] == i for i in range(n))
+        assert all(lengths[g[i]] == lengths[i] for i in range(n))
+        sigma = [gens.index(g[t]) for t in gens]
+        assert all(m[sigma[s]][sigma[t]] == m[s][t] for s in range(W.rank) for t in range(W.rank))
+        img = {(i, s): g[right[i][s]] for i in range(n) for s in range(W.rank)}
+        auto = all(img[i, s] == right[g[i]][sigma[s]] for i, s in img)
+        anti = all(img[i, s] == left[g[i]][sigma[s]] for i, s in img)
+        assert auto or anti, name
+    assert W._inv in [g for g, _ in _symmetries(W)]
+    assert all(W._inv[right[i][s]] == left[W._inv[i]][s] for i in range(n) for s in range(W.rank))
+
+
+def test_derived_rows_are_checked(system):
+    # The row of x^-1 is read off the memo row of x through the inversion, and
+    # it is checked like a computed row: a tampered h_{e,st} = v^5 (l(st) = 2)
+    # makes the row of ts raise MalformedKL.
+    W = system("A2")
+    A = HeckeAlgebra(W)
+    st, ts = W._id(W.parse_element("st")), W._id(W.parse_element("ts"))
+    A._kl_raw(st)
+    A._h[st][0] = {5: 1}
+    with pytest.raises(MalformedKL):
+        A._kl_raw(ts)
+    assert ts not in A._h
+
+
+def test_derived_rows_share_the_pool(system):
+    # Rows read through a symmetry count as computed and reuse the pooled
+    # dicts of the row they are read from.
+    W = system("D4")
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    assert A.computed_count == W.order
+    for g, _ in A._sym:
+        for xi, row in A._h.items():
+            other = A._h[g[xi]]
+            assert all(other[g[yi]] is h for yi, h in row.items())
 
 
 def test_equal_entries_are_one_pooled_dict(system):
@@ -359,6 +435,8 @@ def test_cache_roundtrip(tmp_path, system):
         for y in W.all_elements():
             assert a2.h_poly(y, x) == a1.h_poly(y, x)
     assert a2.computed_count == 0
+    # Nothing was computed, so the symmetry tables were never built.
+    assert a2._sym is None
     a2.save_cache(tmp_path / "kl2.json")
     assert (tmp_path / "kl2.json").read_bytes() == path.read_bytes()
     # Ids are positions in all_elements(): a change of that order or of the

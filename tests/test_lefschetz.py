@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from coxkl.coxeter import CoxeterSystem
+from coxkl.hecke import HeckeAlgebra
 from coxkl.laurent import LaurentPoly
-from coxkl.lefschetz import ih_poincare, lefschetz_audit, local_lefschetz_poly
+from coxkl.lefschetz import _json_lines, ih_poincare, lefschetz_audit, local_lefschetz_poly
 
 one = LaurentPoly.one()
 q = LaurentPoly.monomial(1)
@@ -173,6 +175,25 @@ def test_report_json_lines(system, algebra):
     assert parsed["palindromic"]
 
 
+def test_json_lines_match_one_dumps_per_report():
+    # The audit's JSON lines splice each pair into its verdict's line; they
+    # must equal one json.dumps per report, also for labels JSON escapes.
+    W = CoxeterSystem([[1, 3, 2], [3, 1, 4], [2, 4, 1]], ["\u03c3", 'b"', "c\\"])
+    result = lefschetz_audit(HeckeAlgebra(W))
+    expect = [
+        json.dumps(
+            {"pair": [r.y_label, r.x_label], "d": r.d, "poly": r.poly.pairs(), "palindromic": r.palindromic,
+             "unimodal": r.unimodal, "nonneg": r.nonneg},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        for r in result.reports
+    ]
+    assert list(_json_lines(result.reports)) == expect
+    assert [r.to_json_line() for r in result.reports] == expect
+    assert any("\\u03c3" in line and '\\"' in line for line in expect)
+
+
 def test_reports_are_immutable_records(system, algebra):
     W, A = system("A2"), algebra("A2")
     result = lefschetz_audit(A)
@@ -189,8 +210,6 @@ def test_reports_are_immutable_records(system, algebra):
 def test_audit_reports_share_one_poly_per_verdict(system):
     # One verdict, and so one poly object, per distinct (d, h) of the memo:
     # 121 over the 98,407 reports of A5.
-    from coxkl.hecke import HeckeAlgebra
-
     W = system("A5")
     A = HeckeAlgebra(W)
     result = lefschetz_audit(A)
