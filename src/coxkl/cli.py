@@ -26,7 +26,7 @@ from .blocks import andersen_table, equivariant_hom_series, make_block
 from .coxeter import CoxeterError, CoxeterSystem
 from .hecke import HeckeAlgebra, MalformedKL
 from .laurent import InexactDivision
-from .lefschetz import _json_lines, ih_poincare, lefschetz_audit, local_lefschetz_poly
+from .lefschetz import _dumps, _json_lines, ih_poincare, lefschetz_audit, local_lefschetz_poly
 
 __all__ = ["UsageError", "build_parser", "run", "main"]
 
@@ -85,10 +85,6 @@ def _arg(args: argparse.Namespace, attr: str, parse):
         return parse(word)
     except CoxeterError as exc:
         raise UsageError(str(exc))
-
-
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _render(fmt: str, json_rows, csv_head: str, csv_rows, text_lines):

@@ -248,7 +248,7 @@ def _kl_p(h: Mapping[int, int], d: int, y: Element, x: Element) -> dict[int, int
 
 @cache
 def _kl_exponents(d: int) -> frozenset[int]:
-    # The exponents i of h_{y,x} with d = l(x) - l(y) > 0: 1 <= i <= d, i = d mod 2.
+    # The exponents i of h_{y,x} with d = l(x) - l(y): 1 <= i <= d, i = d mod 2; none if d <= 0.
     return frozenset(range(d, 0, -2))
 
 

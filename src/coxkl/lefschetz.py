@@ -16,12 +16,13 @@ checks are the executable content here; q tracks cohomological degree 2.
 
 The global companion is the graded Poincare polynomial of a Schubert closure,
 IP_x(q) = sum_{y <= x} q^l(y) P_{y,x}(q), which must be palindromic about
-l(x)/2.  ``lefschetz_audit`` batch-verifies both families over a whole group.
-The local verdict depends only on (h_{y,x}, d), of which a group has few (60
-over the 9,817 Bruhat pairs of D4): the audit computes it once per distinct
-(h, d) and sums each IP_x from the KL memo.  The reports are ``NamedTuple``
-records, built row by row, and every report with one (h, d) shares its
-verdict: the same ``poly`` object and flags.
+l(x)/2.  ``lefschetz_audit`` batch-verifies both families over a whole group
+in one pass over each memoized KL row.  The local verdict depends only on the
+(d, h_{y,x}) class of a pair, of which a group has few (60 over the 9,817
+Bruhat pairs of D4).  A row's classes are counted; each is shape-checked and
+summed into IP_x once per row and judged once per group.  The reports are
+``NamedTuple`` records, and those of a class share its verdict: the same
+``poly`` object and flags.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A3")
@@ -32,12 +33,13 @@ verdict: the same ``poly`` object and flags.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .coxeter import CoxeterSystem, Element
-from .hecke import HeckeAlgebra, Raw, _check_row, _kl_p
+from .hecke import HeckeAlgebra, Raw, _check_row, _kl_exponents, _kl_p
 from .laurent import LaurentPoly, _acc
 
 __all__ = [
@@ -77,14 +79,16 @@ class LefschetzReport(NamedTuple):
         return f"{head}{json.dumps(self.y_label)},{json.dumps(self.x_label)}{tail}"
 
 
+def _dumps(value) -> str:
+    # The one JSON form of every printed line: keys sorted, no spaces.
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _json_parts(d: int, poly: LaurentPoly, palindromic: bool, unimodal: bool, nonneg: bool) -> tuple[str, str]:
     # A local report's JSON line, keys sorted, split around its two labels:
     # the text before and after y_label,x_label in "pair":[...].
-    line = json.dumps(
-        {"pair": 0, "d": d, "poly": poly.pairs(), "palindromic": palindromic, "unimodal": unimodal, "nonneg": nonneg},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    line = _dumps({"pair": 0, "d": d, "poly": poly.pairs(), "palindromic": palindromic, "unimodal": unimodal,
+                   "nonneg": nonneg})
     head, tail = line.split('"pair":0')
     return head + '"pair":[', "]" + tail
 
@@ -112,15 +116,7 @@ class IHReport(NamedTuple):
     palindromic: bool
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "x": self.x_label,
-                "ih": self.poly.pairs(),
-                "palindromic": self.palindromic,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return _dumps({"x": self.x_label, "ih": self.poly.pairs(), "palindromic": self.palindromic})
 
 
 @dataclass(frozen=True)
@@ -143,15 +139,24 @@ def _local(h: dict[int, int], d: int, y: Element, x: Element):
     return poly, poly.is_palindromic(Fraction(d - 1, 2)), poly.is_unimodal_nonneg(), nonneg
 
 
-def _ih(W: CoxeterSystem, xi: int, row: Raw) -> LaurentPoly:
-    # IP_x(v^-2) = sum over y of v^-(l(x)+l(y)) h_{y,x}(v), from the checked
-    # memo row {y: h_{y,x}} of uH(x); v^e is q^(-e/2), and e is even.
-    _check_row(W, xi, row)
+def _classes(W: CoxeterSystem, xi: int, row: Raw):
+    # The memo row {y: h_{y,x}} of uH(x) in one pass: its ys in id order, the
+    # key (l(x) - l(y), id(h)) of each, {key: h} over its classes (distinct
+    # keys) and IP_x.  Each class is shape-checked once (_kl_exponents(d) is
+    # empty for d <= 0); that of h_{x,x} = 1 must hold x alone, as a y of
+    # length l(x) may share its pooled dict.  A row failing here fails
+    # _check_row, which names the entry at fault.
     lengths, lx = W._lengths, W._lengths[xi]
+    ys = sorted(row)
+    keys = [(lx - lengths[yi], id(row[yi])) for yi in ys]
+    counts, classes, unit = Counter(keys), dict(zip(keys, map(row.__getitem__, ys))), (0, id(row.get(xi)))
+    bad = [k for k, h in classes.items() if not (h and h.keys() <= _kl_exponents(k[0]))]
+    if bad != [unit] or counts[unit] > 1 or row[xi] != {0: 1}:
+        _check_row(W, xi, row)
     total: dict[int, int] = {}
-    for yi, h in row.items():
-        _acc(total, h, -lx - lengths[yi])
-    return LaurentPoly._raw({-e // 2: c for e, c in total.items()})
+    for k, h in classes.items():
+        _acc(total, h, k[0] - 2 * lx, counts[k])  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
+    return ys, keys, classes, LaurentPoly._raw({-e // 2: c for e, c in total.items()})  # v^e is q^(-e/2)
 
 
 def local_lefschetz_poly(algebra: HeckeAlgebra, y: Element, x: Element) -> LefschetzReport:
@@ -168,7 +173,7 @@ def ih_poincare(algebra: HeckeAlgebra, x: Element) -> LaurentPoly:
     function of the whole group.
     """
     xi = algebra.system._id(x)
-    return _ih(algebra.system, xi, algebra._kl_raw(xi))
+    return _classes(algebra.system, xi, algebra._kl_raw(xi))[3]
 
 
 def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
@@ -180,16 +185,15 @@ def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
     # of a pooled memo are one dict; ids of live dicts are unique, so the key
     # is right on any memo.
     memo: dict[tuple[int, int], tuple] = {}
-    make = LefschetzReport._make
+    new = tuple.__new__
     reports, ih_reports = [], []
     for xi, x in enumerate(elements):
-        row = algebra._kl_raw(xi)
-        lx, xlab, ys = lengths[xi], labels[xi], sorted(row)
-        for yi in ys:
-            key = (lx - lengths[yi], id(row[yi]))
-            if key not in memo:
-                memo[key] = (key[0], *_local(row[yi], key[0], elements[yi], x))
-        reports += [make((elements[yi], x, labels[yi], xlab) + memo[lx - lengths[yi], id(row[yi])]) for yi in ys]
-        poly = _ih(W, xi, row)
-        ih_reports.append(IHReport(x, labels[xi], poly, poly.is_palindromic(Fraction(lengths[xi], 2))))
+        ys, keys, classes, ip = _classes(W, xi, algebra._kl_raw(xi))
+        for k, h in classes.items():
+            if k not in memo:
+                memo[k] = (k[0], *_local(h, k[0], elements[ys[keys.index(k)]], x))
+        xlab, lx, c = labels[xi], lengths[xi], ip._c
+        reports += [new(LefschetzReport, (elements[yi], x, labels[yi], xlab) + memo[k]) for yi, k in zip(ys, keys)]
+        # Palindromic about l(x)/2, on the doubled centre: coefficient j is that of l(x) - j.
+        ih_reports.append(new(IHReport, (x, xlab, ip, all(a == c.get(lx - j, 0) for j, a in c.items()))))
     return AuditResult(reports=tuple(reports), ih_reports=tuple(ih_reports))

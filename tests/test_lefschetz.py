@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from coxkl.coxeter import CoxeterSystem
-from coxkl.hecke import HeckeAlgebra
+from coxkl.hecke import HeckeAlgebra, MalformedKL, _check_row
 from coxkl.laurent import LaurentPoly
 from coxkl.lefschetz import _json_lines, ih_poincare, lefschetz_audit, local_lefschetz_poly
 
@@ -139,11 +139,19 @@ def test_audit_passes(code, algebra):
     assert len(result.ih_reports) == W.order
 
 
-@pytest.mark.parametrize("code", ["A3", "B3", "H3"])
+REFEREE_MATRICES = {
+    "A1xB2": [[1, 2, 2], [2, 1, 4], [2, 4, 1]],
+    "D4 reordered": [[1, 3, 3, 3], [3, 1, 2, 2], [3, 2, 1, 2], [3, 2, 2, 1]],
+}
+
+
+@pytest.mark.parametrize("code", ["A3", "B3", "H3", "D4", "A1xB2", "D4 reordered"])
 def test_audit_matches_per_pair_referee(code, algebra):
     # The audit shares one verdict between pairs with equal (h, d) and sums
-    # IH series from the raw memo; the per-pair functions referee each report.
-    A = algebra(code)
+    # each IP_x once per (d, h) class of its row, testing its palindromy on
+    # the doubled centre; the per-pair functions and the public predicate
+    # referee each report.
+    A = HeckeAlgebra(CoxeterSystem(REFEREE_MATRICES[code])) if code in REFEREE_MATRICES else algebra(code)
     W = A.system
     result = lefschetz_audit(A)
     assert [(r.y, r.x) for r in result.reports] == [
@@ -157,6 +165,52 @@ def test_audit_matches_per_pair_referee(code, algebra):
         assert (ihr.x_label, ihr.poly, ihr.palindromic) == (
             W.format_element(ihr.x), poly, poly.is_palindromic(Fraction(ihr.x.length, 2))
         )
+
+
+def test_audit_flags_a_non_palindromic_ih_series(system):
+    # h(e, s2s1s3s2) = 3v^2 + v^4 keeps the KL shape, so the row is read, but
+    # IP_x is no longer palindromic about l(x)/2 = 2: the audit's flag agrees
+    # with is_palindromic on it, and the audit fails.
+    W = system("A3")
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    x = W.parse_element("s2s1s3s2")
+    A._h[W._id(x)][W._id(W.identity)] = {2: 3, 4: 1}
+    result = lefschetz_audit(A)
+    ihr = result.ih_reports[W._id(x)]
+    assert ihr.x == x and ihr.poly == ih_poincare(A, x)
+    assert ihr.palindromic is ihr.poly.is_palindromic(2) is False
+    assert not result.passed
+
+
+@pytest.mark.parametrize(
+    "x, y, h",
+    [
+        ("sts", "e", {2: 7}),  # wrong parity for l(x) - l(y) = 3
+        ("sts", "e", {5: 1}),  # above l(x) - l(y)
+        ("st", "s", {0: 1}),  # not in v*Z[v]
+        ("st", "s", {}),  # a stored entry is never zero
+        ("s", "st", {1: 1}),  # y longer than x, though v fits l(y) - l(x)
+        ("sts", "sts", {0: 2}),  # not unitriangular
+        ("st", "ts", "h_xx"),  # y of length l(x) sharing x's pooled h_{x,x}
+    ],
+)
+def test_audit_and_ih_refuse_what_check_row_refuses(system, x, y, h):
+    # The audit and ih_poincare shape-check a row once per (d, h) class, not
+    # per entry.  They must refuse every row _check_row refuses, also the one
+    # whose y of length l(x) falls into the class of h_{x,x} = 1.
+    W = system("A2")
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    xi, yi = W._id(W.parse_element(x)), W._id(W.parse_element(y))
+    row = A._h[xi]
+    row[yi] = row[xi] if h == "h_xx" else h
+    with pytest.raises(MalformedKL):
+        _check_row(W, xi, row)
+    with pytest.raises(MalformedKL):
+        lefschetz_audit(A)
+    with pytest.raises(MalformedKL):
+        ih_poincare(A, W.parse_element(x))
 
 
 def test_report_json_lines(system, algebra):
