@@ -165,25 +165,23 @@ def _classify_component(verts: list[int], edges: dict[tuple[int, int], int]) -> 
     return None
 
 
+def _components(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """The smallest generator of each generator's connected component of the
+    Coxeter graph (edges where m(s, t) >= 3), by a min-label fixpoint."""
+    n = len(matrix)
+    comp = list(range(n))
+    for _ in range(n):
+        comp = [min(comp[t] for t in range(n) if matrix[s][t] != 2) for s in range(n)]
+    return comp
+
+
 def _classify_matrix(matrix: Sequence[Sequence[int]]) -> tuple[str, int] | None:
     """Classify a full Coxeter matrix; None if the group is infinite."""
-    n = len(matrix)
-    seen: set[int] = set()
+    components = _components(matrix)
     labels: list[str] = []
     order = 1
-    for start in range(n):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for t in range(n):
-                if t not in seen and matrix[u][t] >= 3:
-                    seen.add(t)
-                    comp.append(t)
-                    stack.append(t)
+    for c in set(components):
+        comp = [t for t, ct in enumerate(components) if ct == c]
         edges = {
             (u, w): matrix[u][w]
             for i, u in enumerate(comp)
@@ -494,13 +492,17 @@ class CoxeterSystem:
 
     # -- words and parsing ------------------------------------------------
 
+    def _gen(self, s: int) -> int:
+        # s, once checked to be a generator index: an int (not a bool) in range.
+        if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < self.rank:
+            raise CoxeterError(f"bad generator index {s!r}")
+        return s
+
     def element(self, word: Iterable[int]) -> Element:
         """Canonicalize an arbitrary word in generator indices."""
         i = 0
         for s in word:
-            if not 0 <= s < self.rank:
-                raise CoxeterError(f"generator index {s} out of range")
-            i = self._right[i][s]
+            i = self._right[i][self._gen(s)]
         return self._elements[i]
 
     def generator_index(self, name: str) -> int:
@@ -512,33 +514,25 @@ class CoxeterSystem:
     def parse_word(self, text: str) -> tuple[int, ...]:
         """Tokenize concatenated generator names into indices; "e" is empty.
 
-        Name sets are validated to be uniquely decodable, so a parsable word
-        has exactly one tokenization; this finds it by dynamic programming
-        over string positions.
+        One left-to-right pass maps each position reached to the last name of
+        the word that spells ``text`` up to it.  Name sets are validated to be
+        uniquely decodable, so no prefix of ``text`` has two such words, and
+        the word of ``text`` is read back from its end.
         """
         if text == "e" or text == "":
             return ()
-        n = len(text)
-        # parent[pos] = (previous position, generator index) on a parse path.
-        parent: list[tuple[int, int] | None] = [None] * (n + 1)
-        reachable = [False] * (n + 1)
-        reachable[0] = True
-        for pos in range(n):
-            if not reachable[pos]:
-                continue
-            for idx, name in enumerate(self.generator_names):
-                end = pos + len(name)
-                if end <= n and not reachable[end] and text.startswith(name, pos):
-                    reachable[end] = True
-                    parent[end] = (pos, idx)
-        if not reachable[n]:
+        back: dict[int, tuple[int, int]] = {0: (0, -1)}  # end -> (start, name index)
+        for pos in range(len(text)):
+            if pos in back:
+                for idx, name in enumerate(self.generator_names):
+                    if text.startswith(name, pos):
+                        back[pos + len(name)] = (pos, idx)
+        pos, word = len(text), []
+        if pos not in back:
             raise CoxeterError(f"cannot parse element word {text!r}")
-        word: list[int] = []
-        pos = n
         while pos:
-            prev, idx = parent[pos]
+            pos, idx = back[pos]
             word.append(idx)
-            pos = prev
         return tuple(reversed(word))
 
     def parse_element(self, text: str) -> Element:
@@ -572,14 +566,8 @@ class CoxeterSystem:
             return self._left
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
-    def _gen_table(self, s: int, side: str) -> list[list[int]]:
-        # The multiply-by-generator table of `side`, once s and side are checked.
-        if not 0 <= s < self.rank:
-            raise CoxeterError(f"generator index {s} out of range")
-        return self._table(side)
-
     def apply_gen(self, a: Element, s: int, side: str = "right") -> Element:
-        return self._elements[self._gen_table(s, side)[self._id(a)][s]]
+        return self._elements[self._table(side)[self._id(a)][self._gen(s)]]
 
     def descents(self, a: Element, side: str = "right") -> frozenset[int]:
         """Generator indices s with l(as) < l(a) (or l(sa) < l(a) on the left)."""
@@ -618,9 +606,7 @@ class CoxeterSystem:
         # generators with m(sigma s, sigma t) = m(s, t) that map each connected
         # component of the Coxeter graph to itself; the identity comes first.
         m, n = self._matrix, self.rank
-        comp = list(range(n))  # the smallest generator of each one's component
-        for _ in range(n):
-            comp = [min(comp[t] for t in range(n) if m[s][t] != 2) for s in range(n)]
+        comp = _components(m)
         perms: list[tuple[int, ...]] = [()]
         for k in range(n):
             perms = [
@@ -644,11 +630,7 @@ class CoxeterSystem:
     # -- parabolic subgroups and cosets -------------------------------------
 
     def _check_subset(self, I: Iterable[int]) -> tuple[int, ...]:
-        out = tuple(sorted(set(I)))
-        for s in out:
-            if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < self.rank:
-                raise CoxeterError(f"bad generator subset entry {s!r}")
-        return out
+        return tuple(sorted({self._gen(s) for s in I}))
 
     def parabolic_elements(self, I: Iterable[int]) -> tuple[Element, ...]:
         """The standard parabolic subgroup W_I = [e, w_I], sorted by (length, word)."""

@@ -94,8 +94,8 @@ _UH = (((1, 1),), ((-1, 1),))
 
 def _step(W: CoxeterSystem, raw: Raw, s: int, gen, side: str = "right") -> Raw:
     """raw * gen(s), or gen(s) * raw when side is "left"; some maps may be empty."""
-    table = W._gen_table(s, side)
-    lengths = W._lengths
+    table, lengths = W._table(side), W._lengths
+    W._gen(s)
     up, down = gen
     out: Raw = {}
     for yi, p in raw.items():
@@ -337,38 +337,37 @@ class HeckeAlgebra:
             s = word[0]
             C = self._kl_raw(left[xi][s])
             ops, intern = self._ops, self._intern
-            T: Raw = {}
+            # T is stored as the row of x: its keys are [e, u] | s[e, u] = [e, x].
             # uH(s) uH(u) on a pair {y, sy} with y < sy depends only on
-            # (h_{y,u}, h_{sy,u}): one memo lookup per pair.
-            for yi, p in C.items():
-                ti = left[yi][s]
-                if lengths[ti] > lengths[yi]:
-                    lo, hi, a, b = yi, ti, p, C.get(ti)
-                elif ti in C:
-                    continue  # done from its lower element ti
-                else:
-                    lo, hi, a, b = ti, yi, None, p
+            # (h_{y,u}, h_{sy,u}): one memo lookup per pair.  C covers the
+            # lower set [e, u], so each pair is met at y; h_{sy,u} may be 0.
+            T: Raw = {}
+            for yi, a in C.items():
+                hi = left[yi][s]
+                if lengths[hi] < lengths[yi]:
+                    continue  # done from its lower element hi
+                b = C.get(hi)
                 key = (id(a), id(b))
                 got = ops.get(key)
                 if got is None:
-                    out = _step(W, {k: d for k, d in ((lo, a), (hi, b)) if d is not None}, s, _UH, "left")
-                    got = ops.setdefault(key, (a, b, intern(out[lo]), intern(out[hi])))
-                T[lo], T[hi] = got[2], got[3]
+                    out = _step(W, {yi: a, hi: b or {}}, s, _UH, "left")
+                    got = ops.setdefault(key, (a, b, intern(out[yi]), intern(out[hi])))
+                T[yi], T[hi] = got[2], got[3]
             for zi, p in C.items():
                 if lengths[left[zi][s]] < lengths[zi]:
                     m = p.get(1, 0)
                     if m:
                         for wi, pw in self._kl_raw(zi).items():
                             # T[w] -= m h_{w,z}, one memo lookup.
-                            cur = T.get(wi)
+                            cur = T[wi]
                             key = (id(cur), id(pw), m)
                             got = ops.get(key)
                             if got is None:
-                                d = dict(cur or {})
+                                d = dict(cur)
                                 _acc(d, pw, 0, -m)
                                 got = ops.setdefault(key, (cur, pw, intern(d)))
                             T[wi] = got[2]
-            res = {yi: d for yi, d in T.items() if d}
+            res = T
         _check_row(W, xi, res)
         self._h[xi] = res
         self.computed_count += 1

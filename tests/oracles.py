@@ -149,6 +149,17 @@ def subword_leq(W, y, x) -> bool:
     return any(W.element(tuple(word[i] for i in idx)) == y for idx in combinations(range(len(word)), k))
 
 
+def subword_elements(W, x) -> set:
+    """The elements spelled by the subwords of x's reduced word: the set
+    {y : subword_leq(W, y, x)}, with each subword evaluated once."""
+    word = x.word
+    return {
+        W.element(tuple(word[i] for i in idx))
+        for k in range(len(word) + 1)
+        for idx in combinations(range(len(word)), k)
+    }
+
+
 # ---------------------------------------------------------------------------
 # Brute-force KL basis: bar-matrix linear solve
 # ---------------------------------------------------------------------------

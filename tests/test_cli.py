@@ -347,6 +347,7 @@ def test_scenario_determinism_cold_vs_warm(tmp_path):
 
 def test_module_entry_point(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(cli.CACHE_DIR_ENV, None)
     proc = subprocess.run(
         [sys.executable, "-m", "coxkl", "--type", "A2", "--cmd", "ih", "--x", "sts"],
         capture_output=True,
@@ -355,3 +356,33 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "1 + 2q + 2q^2 + q^3\n"
+    # The bytes, stderr and status recorded in cli_golden.json, on a command
+    # and on a usage error.
+    golden = {tuple(g["argv"]): g for g in json.loads((DATA / "cli_golden.json").read_text())}
+    for argv in (
+        ("--type", "B3", "--cmd", "kl", "--y", "s1", "--x", "s1s2s1s3s2", "--format", "text"),
+        ("--type", "A2", "--cmd", "ih", "--x", "zz"),
+    ):
+        g = golden[argv]
+        proc = subprocess.run([sys.executable, "-m", "coxkl", *argv], capture_output=True, env=env)
+        assert (proc.returncode, len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest(), proc.stderr.decode()) == (
+            g["status"], g["bytes"], g["sha256"], g["stderr"]
+        ), argv
+
+
+def test_failed_audit_exits_2(monkeypatch):
+    # One local report with nonneg=False fails the audit: exit 2, one line on
+    # stderr, and the verdict line ends stdout.
+    from coxkl import CoxeterSystem, LaurentPoly
+    from coxkl.lefschetz import AuditResult, LefschetzReport
+
+    W = CoxeterSystem.from_type("A1")
+    s = W.parse_element("s")
+    bad = LefschetzReport(W.identity, s, "e", "s", 1, LaurentPoly.one(), True, True, False)
+    monkeypatch.setattr(cli, "lefschetz_audit", lambda algebra: AuditResult((bad,), ()))
+    status, out, err = run_cli_err(["--type", "A1", "--cmd", "audit"])
+    assert (status, out, err) == (
+        2,
+        "FAIL local (e, s) poly=1\naudit: FAIL\n",
+        "internal inconsistency: lefschetz audit failed\n",
+    )

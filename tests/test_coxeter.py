@@ -381,6 +381,30 @@ def test_parse_errors(system):
         W.longest_element([7])
 
 
+@pytest.mark.parametrize("bad", [True, 0.5, "0", -1, 2], ids=["True", "half", "str", "neg", "rank"])
+def test_generator_index_checked_everywhere(bad, system):
+    # One check serves every entry point: a generator index is an int, not a
+    # bool, in range; anything else is a CoxeterError, never a TypeError or
+    # a silent True == 1.
+    from coxkl.hecke import HeckeAlgebra, HeckeElt
+
+    W = system("A2")
+    x = W.parse_element("st")
+    calls = [
+        lambda: W.element([0, bad]),
+        lambda: W.apply_gen(x, bad),
+        lambda: W.apply_gen(x, bad, "left"),
+        lambda: HeckeElt.standard(W, x).mul_by_gen(bad),
+        lambda: HeckeElt.standard(W, x).mul_by_gen(bad, "left"),
+        lambda: HeckeAlgebra(W).bott_samelson([1, bad]),
+        lambda: W.parabolic_elements([bad]),
+        lambda: W.parabolic_elements([0, bad]),
+    ]
+    for call in calls:
+        with pytest.raises(CoxeterError):
+            call()
+
+
 def test_parse_prefix_names():
     W = CoxeterSystem([[1, 3], [3, 1]], names=["s1", "s10"])
     el = W.parse_element("s10s1")

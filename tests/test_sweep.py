@@ -1,0 +1,117 @@
+"""A seeded sweep over the small finite Coxeter matrices, refereed by the oracles.
+
+Each group is built from a random order of its generators under random names
+that ``CoxeterSystem`` accepts, so no code path can lean on the built-in
+numbering or on the default names.  Each check compares against a brute
+force that shares no logic with the path it referees; all of them trust the
+Cayley tables, which test_coxeter.py checks against reflection matrices and
+group_golden.json.
+"""
+from __future__ import annotations
+
+import itertools
+import random
+
+import pytest
+
+from coxkl import CoxeterSystem, HeckeAlgebra
+from coxkl.coxeter import CoxeterError, _builtin_matrix
+from coxkl.laurent import LaurentPoly
+
+from oracles import kl_basis_bruteforce, subword_elements
+
+# Each group is a direct sum of these irreducible parts.
+SWEEP = [
+    "A1xA1xA1", "A1xA2", "A1xB2", "A1xG2", "A1xI2(5)", "A2xA2", "B2xB2", "G2xA2",
+    "A1xA3", "A1xB3", "A3", "B3", "H3", "A4", "D4",
+]
+NAME_LETTERS = "abcst12"
+
+
+def _part(code: str) -> list[list[int]]:
+    return [[1, 5], [5, 1]] if code == "I2(5)" else _builtin_matrix(code)
+
+
+def _direct_sum(codes: list[str]) -> list[list[int]]:
+    parts = [_part(code) for code in codes]
+    n = sum(len(p) for p in parts)
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    base = 0
+    for p in parts:
+        for i, row in enumerate(p):
+            m[base + i][base : base + len(p)] = row
+        base += len(p)
+    return m
+
+
+def _random_system(group: str, rng: random.Random) -> CoxeterSystem:
+    """group's matrix in a random generator order, under random accepted names."""
+    m = _direct_sum(group.split("x"))
+    n = len(m)
+    order = rng.sample(range(n), n)
+    matrix = [[m[order[i]][order[j]] for j in range(n)] for i in range(n)]
+    for _ in range(200):
+        names = ["".join(rng.choices(NAME_LETTERS, k=rng.randint(1, 3))) for _ in range(n)]
+        try:
+            CoxeterSystem._validate_names(names, n)
+        except CoxeterError:
+            continue  # repeated or ambiguous names
+        return CoxeterSystem(matrix, names)
+    raise AssertionError(f"no accepted names drawn for {group}")
+
+
+def _brute_automorphisms(matrix) -> set[tuple[int, ...]]:
+    # The permutations of the generators that keep every m(s, t) and map each
+    # connected component of the Coxeter graph (by a search) onto itself.
+    n = len(matrix)
+    components = []
+    for s in range(n):
+        if not any(s in c for c in components):
+            comp, todo = {s}, [s]
+            while todo:
+                u = todo.pop()
+                new = {t for t in range(n) if matrix[u][t] >= 3} - comp
+                comp |= new
+                todo.extend(new)
+            components.append(comp)
+    return {
+        p
+        for p in itertools.permutations(range(n))
+        if all(matrix[p[s]][p[t]] == matrix[s][t] for s in range(n) for t in range(n))
+        and all({p[s] for s in c} == c for c in components)
+    }
+
+
+@pytest.mark.parametrize("group", SWEEP)
+def test_sweep_against_brute_force(group):
+    rng = random.Random(f"sweep {group}")
+    W = _random_system(group, rng)
+    els = W.all_elements()
+    ids = {x: i for i, x in enumerate(els)}
+
+    # Every KL entry against the bar-matrix solve.
+    A, solved = HeckeAlgebra(W), kl_basis_bruteforce(W)
+    for x in els:
+        assert dict(A.kl_element(x).terms) == {y: LaurentPoly(p) for y, p in solved[x].items()}, x
+
+    # Aut0: the identity first, then each permutation once, acting on words.
+    gens = [ids[g] for g in W.generators]
+    tables = W._graph_automorphisms()
+    sigmas = [tuple(gens.index(g[t]) for t in gens) for g in tables]
+    assert sigmas[0] == tuple(range(W.rank))
+    assert len(set(sigmas)) == len(sigmas)
+    assert set(sigmas) == _brute_automorphisms(W.coxeter_matrix)
+    for g, sigma in zip(tables, sigmas):
+        assert all(g[ids[x]] == ids[W.element(sigma[s] for s in x.word)] for x in els)
+
+    # [e, x] against the subword property.
+    for x in els:
+        assert W._interval(ids[x]) == {ids[y] for y in subword_elements(W, x)}, x
+
+    # Words: every canonical form, and random unreduced words.
+    assert all(W.parse_element(W.format_element(x)) == x for x in els)
+    for _ in range(200):
+        word = tuple(rng.choices(range(W.rank), k=rng.randint(1, 12)))
+        text = "".join(W.generator_names[s] for s in word)
+        assert W.parse_word(text) == word, (W.generator_names, text)
+        assert W.parse_element(text) == W.element(word)
