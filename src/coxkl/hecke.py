@@ -35,6 +35,11 @@ is one lookup in a memo keyed by the ids of its pooled operands, and only a
 miss calls ``_step`` or ``_acc``.  Pooled dicts are never mutated; what a
 public function returns is a copy.
 
+Every row, computed, read through a symmetry (below) or loaded, passes
+``_check_row``, whose test of h_{y,x} depends only on the class (d, h),
+d = l(x) - l(y).  The algebra keeps the classes it has verified (120 on A5
+besides h_{x,x} = 1), so each entry costs one lookup and each class one test.
+
 The table is invariant under a small group G of symmetries of W:
 h_{y,x} = h_{y^-1,x^-1} (from the anti-involution H_w -> H_{w^-1}) and
 h_{y,x} = h_{sigma(y),sigma(x)} for each permutation sigma of the generators
@@ -256,17 +261,35 @@ def _h_name(W: CoxeterSystem, yi: int, xi: int) -> str:
     return f"h({W.format_element(W._el(yi))}, {W.format_element(W._el(xi))})"
 
 
-def _check_row(W: CoxeterSystem, xi: int, row: Raw) -> None:
-    # The shape of a KL row {y: h_{y,x}}: h_{x,x} = 1, and every other h_{y,x}
-    # is nonzero with its exponents in _kl_exponents(l(x) - l(y)).
+def _kl_class(h: Mapping[int, int], d: int) -> bool:
+    # Whether h can be h_{y,x}, y < x, d = l(x) - l(y): exponents in _kl_exponents(d)
+    # and P_{y,x}(0) = 1, the coefficient of v^d (Kazhdan-Lusztig 1979).  No h passes for d <= 0.
+    return h.get(d) == 1 and h.keys() <= _kl_exponents(d)
+
+
+def _class_memo(W: CoxeterSystem) -> list[list[Mapping[int, dict[int, int]]]]:
+    # For each l(x), the list over l(y) of the {id(h): h} classes that passed
+    # _kl_class at d = l(x) - l(y): one dict per d > 0, which holds each h, so
+    # no id in it is reused.  d <= 0 maps to an empty read-only map.
+    top = W._lengths[-1]
+    by_d = [{} for _ in range(top + 1)]
+    none = MappingProxyType({})
+    return [[by_d[lx - ly] if ly < lx else none for ly in range(top + 1)] for lx in range(top + 1)]
+
+
+def _check_row(W: CoxeterSystem, xi: int, row: Raw, memo: list | None = None) -> None:
+    # The shape of a KL row {y: h_{y,x}}: h_{x,x} = 1, and _kl_class(h_{y,x},
+    # l(x) - l(y)) for every other y, tested only for a class not yet in memo
+    # (from _class_memo(W), fresh when None) and stored there once it passes.
     if row.get(xi) != {0: 1}:
         raise MalformedKL(f"uH({W.format_element(W._el(xi))}) must be unitriangular")
     lengths, lx = W._lengths, W._lengths[xi]
-    exps = [_kl_exponents(d) for d in range(lx + 1)]
+    seen = (memo or _class_memo(W))[lx]
     for yi, h in row.items():
-        d = lx - lengths[yi]
-        if yi != xi and not (h and d > 0 and h.keys() <= exps[d]):
-            raise MalformedKL(f"{_h_name(W, yi, xi)} must lie in v*Z[v] with the length bound and parity")
+        if id(h) not in seen[lengths[yi]] and yi != xi:
+            if not _kl_class(h, lx - lengths[yi]):
+                raise MalformedKL(f"{_h_name(W, yi, xi)} breaks v*Z[v], the length bound, parity or P(0) = 1")
+            seen[lengths[yi]][id(h)] = h
 
 
 def _symmetries(W: CoxeterSystem) -> list[tuple[list[int], list[int]]]:
@@ -307,6 +330,8 @@ class HeckeAlgebra:
         self.computed_count = 0
         # _symmetries(system), built at the first computed row.
         self._sym: list[tuple[list[int], list[int]]] | None = None
+        # The (d, id(h)) classes _check_row has verified, as _class_memo lays them out.
+        self._checked = _class_memo(system)
 
     def _intern(self, d: dict[int, int]) -> dict[int, int]:
         return self._pool.setdefault(tuple(sorted(d.items())), d)
@@ -368,7 +393,7 @@ class HeckeAlgebra:
                                 got = ops.setdefault(key, (cur, pw, intern(d)))
                             T[wi] = got[2]
             res = T
-        _check_row(W, xi, res)
+        _check_row(W, xi, res, self._checked)
         self._h[xi] = res
         self.computed_count += 1
         return res
@@ -470,11 +495,12 @@ class HeckeAlgebra:
         ``"kl"`` is ``[[x, [[y, [[exp, coeff], ...]], ...]], ...]``, ids by position
         in ``all_elements()``.  Missing or unreadable files, another schema or
         fingerprint and ids outside 0..order-1 return False: stale caches are
-        ignored, never migrated.  A row failing the check of computed rows,
-        P_{y,x}(0) = 1, or whose y are not exactly the Bruhat interval [e, x],
-        raises ``MalformedKL`` before anything is stored.  [e, x] is built from
-        the row of u = sx when the file or the memo holds it, else by
-        ``CoxeterSystem._interval``.  Loaded entries are pooled like computed ones.
+        ignored, never migrated.  A row failing the check of computed rows
+        (``_check_row``, P_{y,x}(0) = 1 included), or whose y are not exactly
+        the Bruhat interval [e, x], raises ``MalformedKL`` before anything is
+        stored.  [e, x] is built from the row of u = sx when the file or the
+        memo holds it, else by ``CoxeterSystem._interval``.  Loaded entries are
+        pooled like computed ones.
         """
         W = self.system
         try:
@@ -486,7 +512,7 @@ class HeckeAlgebra:
             return False
         if data.get("coxeter_hash") != W.fingerprint:
             return False
-        n, lengths, left, words = W.order, W._lengths, W._left, W._words
+        n, left, words = W.order, W._left, W._words
         pool, intern = self._pool, self._intern
         loaded: dict[int, Raw] = {}
 
@@ -500,7 +526,6 @@ class HeckeAlgebra:
                     return {*below, *(left[yi][s] for yi in below)}
             return W._interval(xi)
 
-        p0_ok: set[tuple[int, int]] = set()
         try:
             for xi, entries in data["kl"]:
                 # A pooled entry is found by the pairs as saved; others are built.
@@ -511,15 +536,9 @@ class HeckeAlgebra:
                 }
                 if not all(type(i) is int and 0 <= i < n for i in (xi, *row)):
                     return False
-                _check_row(W, xi, row)
+                _check_row(W, xi, row, self._checked)
                 if row.keys() != interval(xi):
                     raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")
-                for yi, h in row.items():
-                    key = (lengths[xi] - lengths[yi], id(h))
-                    if key not in p0_ok:
-                        if h.get(key[0]) != 1:
-                            raise MalformedKL(f"{_h_name(W, yi, xi)} must have P(0) = 1")
-                        p0_ok.add(key)
                 loaded[xi] = row
         except (KeyError, TypeError, ValueError):
             return False

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .coxeter import CoxeterSystem, Element
-from .hecke import HeckeAlgebra, Raw, _check_row, _kl_exponents, _kl_p
+from .hecke import HeckeAlgebra, Raw, _check_row, _kl_class, _kl_p
 from .laurent import LaurentPoly, _acc
 
 __all__ = [
@@ -142,15 +142,15 @@ def _local(h: dict[int, int], d: int, y: Element, x: Element):
 def _classes(W: CoxeterSystem, xi: int, row: Raw):
     # The memo row {y: h_{y,x}} of uH(x) in one pass: its ys in id order, the
     # key (l(x) - l(y), id(h)) of each, {key: h} over its classes (distinct
-    # keys) and IP_x.  Each class is shape-checked once (_kl_exponents(d) is
-    # empty for d <= 0); that of h_{x,x} = 1 must hold x alone, as a y of
-    # length l(x) may share its pooled dict.  A row failing here fails
+    # keys) and IP_x.  Each class is checked once by _kl_class, which no
+    # class with d <= 0 passes; that of h_{x,x} = 1 must hold x alone, as a y
+    # of length l(x) may share its pooled dict.  A row failing here fails
     # _check_row, which names the entry at fault.
     lengths, lx = W._lengths, W._lengths[xi]
     ys = sorted(row)
     keys = [(lx - lengths[yi], id(row[yi])) for yi in ys]
     counts, classes, unit = Counter(keys), dict(zip(keys, map(row.__getitem__, ys))), (0, id(row.get(xi)))
-    bad = [k for k, h in classes.items() if not (h and h.keys() <= _kl_exponents(k[0]))]
+    bad = [k for k, h in classes.items() if not _kl_class(h, k[0])]
     if bad != [unit] or counts[unit] > 1 or row[xi] != {0: 1}:
         _check_row(W, xi, row)
     total: dict[int, int] = {}

@@ -261,6 +261,20 @@ def test_derived_rows_are_checked(system):
     assert ts not in A._h
 
 
+def test_rows_need_p0_one(system):
+    # P_{y,x}(0) = 1 holds on every row, not only on loaded ones: a tampered
+    # h_{e,st} = 5v^2 has the degree and parity of l(st) = 2 but P(0) = 5, and
+    # the row of ts, read off the row of st, raises MalformedKL.
+    W = system("A2")
+    A = HeckeAlgebra(W)
+    st, ts = W._id(W.parse_element("st")), W._id(W.parse_element("ts"))
+    A._kl_raw(st)
+    A._h[st][0] = {2: 5}
+    with pytest.raises(MalformedKL):
+        A._kl_raw(ts)
+    assert ts not in A._h
+
+
 def test_derived_rows_share_the_pool(system):
     # Rows read through a symmetry count as computed and reuse the pooled
     # dicts of the row they are read from.

@@ -193,20 +193,27 @@ def test_audit_flags_a_non_palindromic_ih_series(system):
         ("s", "st", {1: 1}),  # y longer than x, though v fits l(y) - l(x)
         ("sts", "sts", {0: 2}),  # not unitriangular
         ("st", "ts", "h_xx"),  # y of length l(x) sharing x's pooled h_{x,x}
+        ("st", "e", {2: 5}),  # degree and parity fit, but P_{e,st}(0) = 5
+        ("st", "e", "h_es"),  # the pooled h_{e,s} = v, verified at d = 1 only
     ],
 )
 def test_audit_and_ih_refuse_what_check_row_refuses(system, x, y, h):
     # The audit and ih_poincare shape-check a row once per (d, h) class, not
     # per entry.  They must refuse every row _check_row refuses, also the one
-    # whose y of length l(x) falls into the class of h_{x,x} = 1.
+    # whose y of length l(x) falls into the class of h_{x,x} = 1.  _check_row
+    # refuses it with or without the algebra's memo of verified classes, full
+    # after the table, and a refused class is never remembered as verified.
     W = system("A2")
     A = HeckeAlgebra(W)
     A.kl_table()
     xi, yi = W._id(W.parse_element(x)), W._id(W.parse_element(y))
     row = A._h[xi]
-    row[yi] = row[xi] if h == "h_xx" else h
-    with pytest.raises(MalformedKL):
-        _check_row(W, xi, row)
+    if isinstance(h, str):
+        h = {"h_xx": row[xi], "h_es": A._h[W._id(W.parse_element("s"))][0]}[h]
+    row[yi] = h
+    for memo in (None, A._checked, A._checked):
+        with pytest.raises(MalformedKL):
+            _check_row(W, xi, row, memo)
     with pytest.raises(MalformedKL):
         lefschetz_audit(A)
     with pytest.raises(MalformedKL):
@@ -271,3 +278,8 @@ def test_audit_reports_share_one_poly_per_verdict(system):
     keys = {(lengths[xi] - lengths[yi], id(h)) for xi, row in A._h.items() for yi, h in row.items()}
     assert len(result.reports) == 98407
     assert len({id(r.poly) for r in result.reports}) == len(keys) == 121
+    # The algebra's memo of verified classes holds each of them but the unit
+    # h_{x,x} = 1 at d = 0, and holds each once.
+    checked = {(lx - ly, i) for lx, maps in enumerate(A._checked) for ly, m in enumerate(maps) for i in m}
+    assert checked == keys - {(0, id(A._h[0][0]))} and len(checked) == 120
+    assert sum(map(len, {id(m): m for maps in A._checked for m in maps}.values())) == 120
