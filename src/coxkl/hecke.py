@@ -239,18 +239,6 @@ def _from_raw(system: CoxeterSystem, raw: Raw) -> HeckeElt:
     )
 
 
-def _kl_p(h: Mapping[int, int], d: int, y: Element, x: Element) -> dict[int, int]:
-    # P_{y,x} as {exponent: coefficient} from the raw h_{y,x}, d = l(x) - l(y);
-    # the one check that h has the degrees and parity of a KL family member.
-    out: dict[int, int] = {}
-    for i, c in h.items():
-        j = d - i
-        if j < 0 or j % 2:
-            raise MalformedKL(f"h_poly({y!r}, {x!r}) = {LaurentPoly(h)} is not a valid KL family member")
-        out[j // 2] = c
-    return out
-
-
 @cache
 def _kl_exponents(d: int) -> frozenset[int]:
     # The exponents i of h_{y,x} with d = l(x) - l(y): 1 <= i <= d, i = d mod 2; none if d <= 0.
@@ -267,14 +255,23 @@ def _kl_class(h: Mapping[int, int], d: int) -> bool:
     return h.get(d) == 1 and h.keys() <= _kl_exponents(d)
 
 
-def _class_memo(W: CoxeterSystem) -> list[list[Mapping[int, dict[int, int]]]]:
+def _entry(W: CoxeterSystem, row: Raw, yi: int, xi: int) -> Mapping[int, int]:
+    # h_{y,x} from the row of x, {} when y is not in it.  An entry present is
+    # refused unless it is h_{x,x} = 1 at y = x or passes _kl_class, as in _check_row.
+    h = row.get(yi)
+    if h is not None and not (yi == xi and h == {0: 1} or _kl_class(h, W._lengths[xi] - W._lengths[yi])):
+        raise MalformedKL(f"{_h_name(W, yi, xi)} = {LaurentPoly(h)} is not a valid KL family member")
+    return {} if h is None else h
+
+
+def _class_memo(W: CoxeterSystem, low: int = 1) -> list[list[Mapping[int, dict[int, int]]]]:
     # For each l(x), the list over l(y) of the {id(h): h} classes that passed
-    # _kl_class at d = l(x) - l(y): one dict per d > 0, which holds each h, so
-    # no id in it is reused.  d <= 0 maps to an empty read-only map.
+    # _kl_class at d = l(x) - l(y): one dict per d >= low, which holds each h, so
+    # no id in it is reused.  d < low maps to an empty read-only map.
     top = W._lengths[-1]
     by_d = [{} for _ in range(top + 1)]
     none = MappingProxyType({})
-    return [[by_d[lx - ly] if ly < lx else none for ly in range(top + 1)] for lx in range(top + 1)]
+    return [[by_d[lx - ly] if lx - ly >= low else none for ly in range(top + 1)] for lx in range(top + 1)]
 
 
 def _check_row(W: CoxeterSystem, xi: int, row: Raw, memo: list | None = None) -> None:
@@ -417,7 +414,8 @@ class HeckeAlgebra:
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
         """P_{y,x}(q), from h_{y,x}(v) = v^(l(x)-l(y)) P_{y,x}(v^-2)."""
-        return LaurentPoly(_kl_p(self.h_poly(y, x)._c, x.length - y.length, y, x))
+        W, xi, d = self.system, self.system._id(x), x.length - y.length
+        return LaurentPoly({(d - i) // 2: c for i, c in _entry(W, self._kl_raw(xi), W._id(y), xi).items()})
 
     def mu(self, y: Element, x: Element) -> int:
         """The coefficient of v in h_{y,x}; drives the recursion."""

@@ -18,11 +18,11 @@ The global companion is the graded Poincare polynomial of a Schubert closure,
 IP_x(q) = sum_{y <= x} q^l(y) P_{y,x}(q), which must be palindromic about
 l(x)/2.  ``lefschetz_audit`` batch-verifies both families over a whole group
 in one pass over each memoized KL row.  The local verdict depends only on the
-(d, h_{y,x}) class of a pair, of which a group has few (60 over the 9,817
-Bruhat pairs of D4).  A row's classes are counted; each is shape-checked and
-summed into IP_x once per row and judged once per group.  The reports are
-``NamedTuple`` records, and those of a class share its verdict: the same
-``poly`` object and flags.
+(d, h_{y,x}) class of a pair; D4 has 60 over its 9,817 Bruhat pairs.  A table
+by l(x), l(y) and id(h) gives each entry its verdict in one lookup; a class new
+to the audit is shape-checked and judged once, and IP_x is summed once per
+verdict of a row.  The reports are ``NamedTuple`` records, and those of a
+class share its verdict: the same ``poly`` object and flags.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A3")
@@ -35,11 +35,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from itertools import accumulate
+from operator import ge, le
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .coxeter import CoxeterSystem, Element
-from .hecke import HeckeAlgebra, Raw, _check_row, _kl_class, _kl_p
+from .hecke import HeckeAlgebra, Raw, _check_row, _class_memo, _entry, _kl_class
 from .laurent import LaurentPoly, _acc
 
 __all__ = [
@@ -129,41 +130,64 @@ class AuditResult:
         return all(r.passed for r in self.reports) and all(r.palindromic for r in self.ih_reports)
 
 
-def _local(h: dict[int, int], d: int, y: Element, x: Element):
-    # The local polynomial of the raw h = h_{y,x} with d = l(x) - l(y), and
-    # its palindromic, unimodal and nonneg verdicts.
-    P = LaurentPoly(_kl_p(h, d, y, x))
-    numerator = P - P.bar().shift(d)
-    poly = numerator.div_exact(LaurentPoly({0: 1, 1: -1})) if numerator else LaurentPoly.zero()
-    nonneg = all(c >= 0 for _, c in poly.pairs())
-    return poly, poly.is_palindromic(Fraction(d - 1, 2)), poly.is_unimodal_nonneg(), nonneg
+def _local(h: Mapping[int, int], d: int) -> tuple:
+    # The local polynomial of h = h_{y,x}, d = l(x) - l(y), and its palindromic,
+    # unimodal and nonneg verdicts.  h is {}, h_{x,x} = 1 or of a KL class, so
+    # P(q) - q^d P(1/q) lives on [0, d]; its quotient by 1 - q is its prefix sums.
+    p = [0] * (d + 1)
+    for i, c in h.items():
+        p[(d - i) // 2] = c
+    seq = list(accumulate(p[e] - p[d - e] for e in range(d)))
+    top, nonneg = seq.index(max(seq)) if seq else 0, min(seq, default=0) >= 0
+    unimodal = nonneg and all(map(le, seq[:top], seq[1:])) and all(map(ge, seq[top:], seq[top + 1:]))
+    return LaurentPoly._raw({e: c for e, c in enumerate(seq) if c}), seq == seq[::-1], unimodal, nonneg
 
 
-def _classes(W: CoxeterSystem, xi: int, row: Raw):
-    # The memo row {y: h_{y,x}} of uH(x) in one pass: its ys in id order, the
-    # key (l(x) - l(y), id(h)) of each, {key: h} over its classes (distinct
-    # keys) and IP_x.  Each class is checked once by _kl_class, which no
-    # class with d <= 0 passes; that of h_{x,x} = 1 must hold x alone, as a y
-    # of length l(x) may share its pooled dict.  A row failing here fails
-    # _check_row, which names the entry at fault.
+_UNIT = (0, *_local({0: 1}, 0))  # the verdict of y = x, h_{x,x} = 1
+
+
+def _table(W: CoxeterSystem) -> tuple[list, dict]:
+    # An empty verdict table, {id(h): verdict} per d >= 0 laid out as by
+    # hecke._class_memo, and (d, h) by id(verdict).  The memo rows keep each h,
+    # and the table each verdict, alive through a call, so no id is reused.
+    return _class_memo(W, 0), {id(_UNIT): (0, {0: 1})}
+
+
+def _row(W: CoxeterSystem, xi: int, row: Raw, table: list, source: dict):
+    # The memo row {y: h_{y,x}} of uH(x): its ys in id order, the verdict of
+    # each from table and IP_x.  A miss is judged only after a second lookup, as
+    # an earlier miss of the row may have stored its class.  A row whose unit
+    # verdict is not at x alone, or with a miss neither h_{x,x} = 1 nor passing
+    # _kl_class, fails _check_row, which names the entry at fault.
     lengths, lx = W._lengths, W._lengths[xi]
-    ys = sorted(row)
-    keys = [(lx - lengths[yi], id(row[yi])) for yi in ys]
-    counts, classes, unit = Counter(keys), dict(zip(keys, map(row.__getitem__, ys))), (0, id(row.get(xi)))
-    bad = [k for k, h in classes.items() if not _kl_class(h, k[0])]
-    if bad != [unit] or counts[unit] > 1 or row[xi] != {0: 1}:
+    seen, ys = table[lx], sorted(row)
+    verdicts = [seen[lengths[yi]].get(id(row[yi])) for yi in ys]
+    counts = Counter(map(id, verdicts))
+    if id(None) in counts:
+        for k, yi in enumerate(ys):
+            if verdicts[k] is None:
+                h, slot, d = row[yi], seen[lengths[yi]], lx - lengths[yi]
+                if id(h) not in slot:
+                    if not (yi == xi and h == {0: 1} or _kl_class(h, d)):
+                        _check_row(W, xi, row)
+                    slot[id(h)] = v = _UNIT if d == 0 else (d, *_local(h, d))
+                    source[id(v)] = (d, h)
+                verdicts[k] = slot[id(h)]
+        counts = Counter(map(id, verdicts))
+    if counts[id(_UNIT)] != 1 or row.get(xi) != {0: 1}:
         _check_row(W, xi, row)
     total: dict[int, int] = {}
-    for k, h in classes.items():
-        _acc(total, h, k[0] - 2 * lx, counts[k])  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
-    return ys, keys, classes, LaurentPoly._raw({-e // 2: c for e, c in total.items()})  # v^e is q^(-e/2)
+    for i, n in counts.items():
+        d, h = source[i]
+        _acc(total, h, d - 2 * lx, n)  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
+    return ys, verdicts, LaurentPoly._raw({-e // 2: c for e, c in total.items()})  # v^e is q^(-e/2)
 
 
 def local_lefschetz_poly(algebra: HeckeAlgebra, y: Element, x: Element) -> LefschetzReport:
     """Build the local Lefschetz polynomial and its three property verdicts."""
-    W, d = algebra.system, x.length - y.length
-    h = algebra._kl_raw(W._id(x)).get(W._id(y), {})
-    return LefschetzReport(y, x, W.format_element(y), W.format_element(x), d, *_local(h, d, y, x))
+    W, d, xi = algebra.system, x.length - y.length, algebra.system._id(x)
+    h = _entry(W, algebra._kl_raw(xi), W._id(y), xi)
+    return LefschetzReport(y, x, W.format_element(y), W.format_element(x), d, *_local(h, d))
 
 
 def ih_poincare(algebra: HeckeAlgebra, x: Element) -> LaurentPoly:
@@ -173,7 +197,7 @@ def ih_poincare(algebra: HeckeAlgebra, x: Element) -> LaurentPoly:
     function of the whole group.
     """
     xi = algebra.system._id(x)
-    return _classes(algebra.system, xi, algebra._kl_raw(xi))[3]
+    return _row(algebra.system, xi, algebra._kl_raw(xi), *_table(algebra.system))[2]
 
 
 def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
@@ -181,19 +205,12 @@ def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
     W = algebra.system
     lengths, elements = W._lengths, W.all_elements()
     labels = [W.format_element(el) for el in elements]
-    # (d, id(h)) -> (d, poly, palindromic, unimodal, nonneg).  Equal entries
-    # of a pooled memo are one dict; ids of live dicts are unique, so the key
-    # is right on any memo.
-    memo: dict[tuple[int, int], tuple] = {}
-    new = tuple.__new__
+    table, new = _table(W), tuple.__new__
     reports, ih_reports = [], []
     for xi, x in enumerate(elements):
-        ys, keys, classes, ip = _classes(W, xi, algebra._kl_raw(xi))
-        for k, h in classes.items():
-            if k not in memo:
-                memo[k] = (k[0], *_local(h, k[0], elements[ys[keys.index(k)]], x))
+        ys, verdicts, ip = _row(W, xi, algebra._kl_raw(xi), *table)
         xlab, lx, c = labels[xi], lengths[xi], ip._c
-        reports += [new(LefschetzReport, (elements[yi], x, labels[yi], xlab) + memo[k]) for yi, k in zip(ys, keys)]
+        reports += [new(LefschetzReport, (elements[yi], x, labels[yi], xlab) + v) for yi, v in zip(ys, verdicts)]
         # Palindromic about l(x)/2, on the doubled centre: coefficient j is that of l(x) - j.
         ih_reports.append(new(IHReport, (x, xlab, ip, all(a == c.get(lx - j, 0) for j, a in c.items()))))
     return AuditResult(reports=tuple(reports), ih_reports=tuple(ih_reports))

@@ -4,8 +4,9 @@ Independent oracles used by the test suite.
 Nothing here calls the code paths under test: group arithmetic is rechecked
 through explicit reflection matrices on a root system, Bruhat order through
 the subword property, and the KL basis through a brute-force linear solve
-against the bar matrix.  Laurent polynomials are plain {exp: coeff} dicts
-with their own little helper functions.
+against the bar matrix, and the local Lefschetz polynomial through long
+division.  Laurent polynomials are plain {exp: coeff} dicts with their own
+little helper functions.
 """
 from __future__ import annotations
 
@@ -237,3 +238,44 @@ def poly_ring_series(rank: int, n_max: int) -> list[int]:
     for _ in range(rank):
         series = [sum(series[j] * gen[n - j] for j in range(n + 1)) for n in range(n_max + 1)]
     return series
+
+
+# ---------------------------------------------------------------------------
+# Local Lefschetz polynomial by long division
+# ---------------------------------------------------------------------------
+
+
+def local_lefschetz_oracle(h, d):
+    """(P(q) - q^d P(1/q)) / (1 - q) and its three verdicts, from h = h_{y,x}(v).
+
+    ``h`` is a plain {exp: coeff} dict and d = l(x) - l(y); P(q) is read off
+    h(v) = v^d P(v^-2).  The numerator is divided by 1 - q from its lowest
+    exponent up.  Returns ``(quotient, palindromic, unimodal, nonneg)``: the
+    quotient as a plain dict, and the verdicts written out over its dense
+    coefficient list, from its lowest to its highest nonzero exponent.
+    """
+    P = {}
+    for i, c in h.items():
+        assert (d - i) % 2 == 0 and d - i >= 0, "not of the shape v^d P(v^-2)"
+        P[(d - i) // 2] = c
+    num = padd(P, {d - e: c for e, c in P.items()}, factor=-1)
+    quotient, rem = {}, dict(num)
+    while rem:
+        lo = min(rem)
+        assert lo < max(num), "the numerator is not divisible by 1 - q"
+        quotient[lo] = rem[lo]
+        rem = padd(rem, {lo: 1, lo + 1: -1}, factor=-rem[lo])  # rem -= c q^lo (1 - q)
+    if not quotient:
+        return {}, True, True, True
+    lo, hi = min(quotient), max(quotient)
+    dense = [quotient.get(e, 0) for e in range(lo, hi + 1)]
+    # palindromic about (d - 1)/2: the coefficient of e is that of d - 1 - e
+    palindromic = all(dense[e - lo] == quotient.get(d - 1 - e, 0) for e in range(lo, hi + 1))
+    nonneg = all(c >= 0 for c in dense)
+    # unimodal: a weakly rising run, then a weakly falling one, to the end
+    k = 0
+    while k + 1 < len(dense) and dense[k] <= dense[k + 1]:
+        k += 1
+    while k + 1 < len(dense) and dense[k] >= dense[k + 1]:
+        k += 1
+    return quotient, palindromic, nonneg and k == len(dense) - 1, nonneg

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from coxkl import lefschetz
 from coxkl.coxeter import CoxeterSystem
 from coxkl.hecke import HeckeAlgebra, MalformedKL, _check_row
 from coxkl.laurent import LaurentPoly
 from coxkl.lefschetz import _json_lines, ih_poincare, lefschetz_audit, local_lefschetz_poly
+
+from oracles import local_lefschetz_oracle
 
 one = LaurentPoly.one()
 q = LaurentPoly.monomial(1)
@@ -148,9 +151,9 @@ REFEREE_MATRICES = {
 @pytest.mark.parametrize("code", ["A3", "B3", "H3", "D4", "A1xB2", "D4 reordered"])
 def test_audit_matches_per_pair_referee(code, algebra):
     # The audit shares one verdict between pairs with equal (h, d) and sums
-    # each IP_x once per (d, h) class of its row, testing its palindromy on
-    # the doubled centre; the per-pair functions and the public predicate
-    # referee each report.
+    # each IP_x once per verdict of its row, testing its palindromy on the
+    # doubled centre; the per-pair functions, the long-division oracle and
+    # the public predicate referee each report.
     A = HeckeAlgebra(CoxeterSystem(REFEREE_MATRICES[code])) if code in REFEREE_MATRICES else algebra(code)
     W = A.system
     result = lefschetz_audit(A)
@@ -159,6 +162,7 @@ def test_audit_matches_per_pair_referee(code, algebra):
     ]
     for rep in result.reports:
         assert rep == local_lefschetz_poly(A, rep.y, rep.x)
+        assert (dict(rep.poly.pairs()), *rep[6:]) == local_lefschetz_oracle(dict(A.h_poly(rep.y, rep.x).pairs()), rep.d)
     assert [r.x for r in result.ih_reports] == list(W.all_elements())
     for ihr in result.ih_reports:
         poly = ih_poincare(A, ihr.x)
@@ -218,6 +222,49 @@ def test_audit_and_ih_refuse_what_check_row_refuses(system, x, y, h):
         lefschetz_audit(A)
     with pytest.raises(MalformedKL):
         ih_poincare(A, W.parse_element(x))
+    # The readers of the single entry refuse it too.
+    with pytest.raises(MalformedKL):
+        local_lefschetz_poly(A, W.parse_element(y), W.parse_element(x))
+    with pytest.raises(MalformedKL):
+        A.kl_polynomial(W.parse_element(y), W.parse_element(x))
+
+
+@pytest.mark.parametrize(
+    "y, h, verdicts",
+    [
+        ("e", {4: 1, 2: -1}, (True, False, True)),  # P = 1 - q: 1 + q^3, a gap inside
+        ("s2", {3: 1, 1: -3}, (True, False, False)),  # P = 1 - 3q: 1 - 2q + q^2
+        ("s2", {3: 1, 1: 4}, (True, True, True)),  # P = 1 + 4q: 1 + 5q + q^2
+    ],
+)
+def test_local_verdicts_match_oracle_on_tampered_classes(system, y, h, verdicts):
+    # An entry of KL shape with other coefficients gets the verdicts the
+    # long-division oracle gives, failing ones included, in the audit and in
+    # local_lefschetz_poly.
+    W = system("A3")
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    x, y = W.parse_element("s2s1s3s2"), W.parse_element(y)
+    A._h[W._id(x)][W._id(y)] = h
+    rep = next(r for r in lefschetz_audit(A).reports if (r.y, r.x) == (y, x))
+    assert rep == local_lefschetz_poly(A, y, x)
+    assert (dict(rep.poly.pairs()), *rep[6:]) == local_lefschetz_oracle(h, rep.d)
+    assert rep[6:] == verdicts
+
+
+@pytest.mark.parametrize("code, classes", [("D4", 59), ("H3", 122)])
+def test_audit_judges_each_class_once(code, classes, system, monkeypatch):
+    # One audit runs _local once per distinct (d, h) of the memo with d > 0;
+    # every other entry reads its verdict from the audit's table, and y = x
+    # gets the unit verdict without a call.
+    W = system(code)
+    A = HeckeAlgebra(W)
+    calls, local = [], lefschetz._local
+    monkeypatch.setattr(lefschetz, "_local", lambda h, d: calls.append((d, id(h))) or local(h, d))
+    lefschetz_audit(A)
+    lengths = W._lengths
+    keys = {(lengths[xi] - lengths[yi], id(h)) for xi, row in A._h.items() for yi, h in row.items()}
+    assert sorted(calls) == sorted(k for k in keys if k[0] > 0) and len(calls) == classes
 
 
 def test_report_json_lines(system, algebra):
