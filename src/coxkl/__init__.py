@@ -7,7 +7,7 @@ Hecke algebra with its canonical basis and memoized KL table (`hecke`),
 singular-block dimension tables (`blocks`), hard-Lefschetz consistency
 checks (`lefschetz`) and a batch CLI (`cli`).
 """
-from .laurent import InexactDivision, LaurentPoly
+from .laurent import LaurentPoly
 from .coxeter import (
     Coset,
     CoxeterError,
@@ -37,7 +37,6 @@ from .lefschetz import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "InexactDivision",
     "LaurentPoly",
     "Coset",
     "CoxeterError",

@@ -16,6 +16,11 @@ The two deliverables are
 * ``equivariant_hom_series``: the torus-equivariant graded Hom dimensions,
   obtained by convolving those coefficients with the Hilbert series of a
   polynomial ring whose generators sit in degree 2.
+
+>>> from coxkl import CoxeterSystem, HeckeAlgebra
+>>> W = CoxeterSystem.from_type("A2")
+>>> andersen_table(make_block(W, [W.generator_index("t")]), HeckeAlgebra(W)).to_csv().split()
+['row,col,i,dim', 't,t,0,1', 't,st,1,1', 't,sts,2,1', 'st,st,0,1', 'st,sts,1,1', 'sts,sts,0,1']
 """
 from __future__ import annotations
 

@@ -11,21 +11,20 @@ and passes lazy json, csv and text rows to ``_render``, the one place where
 the formats differ, so only the chosen format is ever formatted.
 
 Exit status: 0 on success, 1 on a usage error, 2 on an internal
-inconsistency (an inexact division, a malformed KL family, or a failed
-audit check).
+inconsistency (a malformed KL family or a failed audit check).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import stat
 import sys
 from itertools import chain
 
 from .blocks import andersen_table, equivariant_hom_series, make_block
 from .coxeter import CoxeterError, CoxeterSystem
 from .hecke import HeckeAlgebra, MalformedKL
-from .laurent import InexactDivision
 from .lefschetz import _dumps, _json_lines, ih_poincare, lefschetz_audit, local_lefschetz_poly
 
 __all__ = ["UsageError", "build_parser", "run", "main"]
@@ -70,10 +69,22 @@ def _build_system(args: argparse.Namespace) -> CoxeterSystem:
     raise UsageError("one of --type or --matrix is required")
 
 
-def _cache_path(args: argparse.Namespace, system: CoxeterSystem) -> str | None:
-    if args.cache or not os.environ.get(CACHE_DIR_ENV):
-        return args.cache
-    return os.path.join(os.environ[CACHE_DIR_ENV], f"{system.fingerprint}.json")
+def _cache_path(args: argparse.Namespace, system: CoxeterSystem) -> tuple[str | None, bool]:
+    # The KL cache file of this run, if any, and whether it exists.  A path that
+    # exists but is no regular file, or lies under a non-directory, is a usage error.
+    path = args.cache
+    if not path and os.environ.get(CACHE_DIR_ENV):
+        path = os.path.join(os.environ[CACHE_DIR_ENV], f"{system.fingerprint}.json")
+    if not path:
+        return None, False
+    try:
+        if stat.S_ISREG(os.stat(path).st_mode):
+            return path, True
+    except FileNotFoundError:
+        return path, False
+    except OSError as exc:
+        raise UsageError(f"cannot use cache {path}: {exc.strerror}")
+    raise UsageError(f"cache {path} is not a regular file")
 
 
 def _arg(args: argparse.Namespace, attr: str, parse):
@@ -105,25 +116,28 @@ def run(args: argparse.Namespace) -> int:
     except CoxeterError as exc:
         raise UsageError(str(exc))
 
+    cache_path, cached = _cache_path(args, system)
     algebra = HeckeAlgebra(system)
-    cache_path = _cache_path(args, system)
     loaded = False
     try:
-        if cache_path and os.path.exists(cache_path):
+        if cached:
             loaded = algebra.load_cache(cache_path)
             if not loaded:
                 print(f"warning: ignoring mismatched cache {cache_path}", file=sys.stderr)
         status, lines = _COMMANDS[args.cmd](args, system, algebra, parabolic)
         text = "".join(f"{line}\n" for line in lines)
-    except (InexactDivision, MalformedKL) as exc:
+    except MalformedKL as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(text)
 
     # An accepted cache to which this run added no row is left as it is.
     if cache_path and (not loaded or algebra.computed_count):
-        os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
-        algebra.save_cache(cache_path)
+        try:
+            os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
+            algebra.save_cache(cache_path)
+        except OSError as exc:
+            raise UsageError(f"cannot write cache {cache_path}: {exc}")
     return status
 
 

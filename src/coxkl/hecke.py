@@ -180,10 +180,7 @@ class HeckeElt:
             return self._product(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, LaurentPoly)):
-            return self.__mul__(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def mul_by_gen(self, s: int, side: str = "right") -> HeckeElt:
         """Multiply by the generator H_s on the given side.
@@ -418,7 +415,7 @@ class HeckeAlgebra:
         return LaurentPoly({(d - i) // 2: c for i, c in _entry(W, self._kl_raw(xi), W._id(y), xi).items()})
 
     def mu(self, y: Element, x: Element) -> int:
-        """The coefficient of v in h_{y,x}; drives the recursion."""
+        """The coefficient of v in h_{y,x}: the Kazhdan-Lusztig mu(y, x), 0 unless y < x."""
         return self.h_poly(y, x).coeff(1)
 
     # -- basis conversion -------------------------------------------------

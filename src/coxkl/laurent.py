@@ -10,19 +10,13 @@ letter the exponent tracks is contextual and only matters for display.
 >>> v = LaurentPoly.monomial(1)
 >>> (v + v**-1) * (v + v**-1)
 LaurentPoly('v^-2 + 2 + v^2')
->>> (LaurentPoly.one() - v**2).div_exact(LaurentPoly.one() - v)
-LaurentPoly('1 + v')
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-__all__ = ["InexactDivision", "LaurentPoly"]
-
-
-class InexactDivision(ArithmeticError):
-    """Raised by :meth:`LaurentPoly.div_exact` when no exact quotient exists."""
+__all__ = ["LaurentPoly"]
 
 
 CoeffSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
@@ -204,68 +198,6 @@ class LaurentPoly:
             raise ValueError(f"center must be an integer or half-integer, got {center!r}")
         c2 = int(c2)
         return all(a == self._c.get(c2 - e, 0) for e, a in self._c.items())
-
-    def is_unimodal_nonneg(self) -> bool:
-        """True iff coefficients are >= 0 and rise then fall, with no inner gap.
-
-        The coefficient sequence is read densely from the lowest to the
-        highest nonzero exponent, so an interior zero between two positive
-        coefficients fails the test.  Requires an ordinary polynomial (no
-        negative exponents); the zero polynomial passes vacuously.
-        """
-        if not self._c:
-            return True
-        lo, hi = self.min_exp, self.max_exp
-        if lo < 0:
-            raise ValueError("unimodality is defined for ordinary polynomials only")
-        seq = [self._c.get(e, 0) for e in range(lo, hi + 1)]
-        if any(a < 0 for a in seq):
-            return False
-        rising = True
-        for prev, cur in zip(seq, seq[1:]):
-            if rising:
-                if cur < prev:
-                    rising = False
-            elif cur > prev:
-                return False
-        return True
-
-    # -- division ------------------------------------------------------
-
-    def div_exact(self, other: LaurentPoly) -> LaurentPoly:
-        """Return ``c`` with ``self == other * c``; raise if none exists.
-
-        Division proceeds from the lowest exponent; any nonzero remainder
-        (including a coefficient that is not divisible over the integers)
-        raises :class:`InexactDivision`.
-        """
-        if not isinstance(other, LaurentPoly):
-            raise TypeError(f"expected LaurentPoly divisor, got {other!r}")
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return self
-        a_lo, a_hi = self.min_exp, self.max_exp
-        b_lo, b_hi = other.min_exp, other.max_exp
-        # Dense remainder over the exponent window of `self`.
-        rem = [self._c.get(e, 0) for e in range(a_lo, a_hi + 1)]
-        div = [other._c.get(e, 0) for e in range(b_lo, b_hi + 1)]
-        q_len = len(rem) - len(div) + 1
-        if q_len <= 0:
-            raise InexactDivision(f"{self} is not divisible by {other}")
-        lead = div[0]
-        quot = [0] * q_len
-        for k in range(q_len):
-            r = rem[k]
-            if r:
-                if r % lead:
-                    raise InexactDivision(f"{self} is not divisible by {other}")
-                c = quot[k] = r // lead
-                for j, b in enumerate(div):
-                    rem[k + j] -= c * b
-        if any(rem):
-            raise InexactDivision(f"{self} is not divisible by {other}")
-        return LaurentPoly({a_lo - b_lo + k: c for k, c in enumerate(quot)})
 
     # -- comparison and display -----------------------------------------
 

@@ -40,7 +40,7 @@ from operator import ge, le
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .coxeter import CoxeterSystem, Element
-from .hecke import HeckeAlgebra, Raw, _check_row, _class_memo, _entry, _kl_class
+from .hecke import HeckeAlgebra, Raw, _check_row, _class_memo, _entry
 from .laurent import LaurentPoly, _acc
 
 __all__ = [
@@ -156,9 +156,8 @@ def _table(W: CoxeterSystem) -> tuple[list, dict]:
 def _row(W: CoxeterSystem, xi: int, row: Raw, table: list, source: dict):
     # The memo row {y: h_{y,x}} of uH(x): its ys in id order, the verdict of
     # each from table and IP_x.  A miss is judged only after a second lookup, as
-    # an earlier miss of the row may have stored its class.  A row whose unit
-    # verdict is not at x alone, or with a miss neither h_{x,x} = 1 nor passing
-    # _kl_class, fails _check_row, which names the entry at fault.
+    # an earlier miss of the row may have stored its class, and only once _entry
+    # accepts it.  A row whose unit verdict is not at x alone fails _check_row.
     lengths, lx = W._lengths, W._lengths[xi]
     seen, ys = table[lx], sorted(row)
     verdicts = [seen[lengths[yi]].get(id(row[yi])) for yi in ys]
@@ -168,8 +167,7 @@ def _row(W: CoxeterSystem, xi: int, row: Raw, table: list, source: dict):
             if verdicts[k] is None:
                 h, slot, d = row[yi], seen[lengths[yi]], lx - lengths[yi]
                 if id(h) not in slot:
-                    if not (yi == xi and h == {0: 1} or _kl_class(h, d)):
-                        _check_row(W, xi, row)
+                    _entry(W, row, yi, xi)
                     slot[id(h)] = v = _UNIT if d == 0 else (d, *_local(h, d))
                     source[id(v)] = (d, h)
                 verdicts[k] = slot[id(h)]

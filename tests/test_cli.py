@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import coxkl.cli as cli
-from coxkl.laurent import InexactDivision
+from coxkl.hecke import MalformedKL
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -121,7 +121,7 @@ def test_help_exits_zero(capsys):
 
 def test_internal_inconsistency_exit_code(monkeypatch):
     def boom(algebra, x):
-        raise InexactDivision("forced")
+        raise MalformedKL("forced")
 
     monkeypatch.setattr(cli, "ih_poincare", boom)
     status, _ = run_cli(["--type", "A2", "--cmd", "ih", "--x", "sts"])
@@ -328,6 +328,40 @@ def test_cache_mismatch_is_warning(tmp_path):
         assert (status, out) == (0, plain), text
         assert err == f"warning: ignoring mismatched cache {cache}\n", text
         assert json.loads(cache.read_text())["schema"] == 2, text
+
+
+def test_cache_path_not_a_file_is_usage_error(tmp_path):
+    # --cache naming a directory, or a path under a regular file, and
+    # COXKL_CACHE_DIR naming a regular file exit 1 before any work or output,
+    # with one usage error line, no traceback and no temp file.
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    args = [sys.executable, "-m", "coxkl", "--type", "A2", "--cmd", "kl", "--y", "e", "--x", "s"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(cli.CACHE_DIR_ENV, None)
+    for argv, extra in (
+        ([*args, "--cache", str(tmp_path)], {}),
+        ([*args, "--cache", str(plain / "kl.json")], {}),
+        (args, {cli.CACHE_DIR_ENV: str(plain)}),
+    ):
+        proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **extra})
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, argv
+        assert "Traceback" not in proc.stderr, argv
+        assert not [*tmp_path.parent.glob("*.tmp"), *tmp_path.glob("*.tmp")], argv
+    assert plain.read_text() == ""
+
+
+def test_cache_write_error_is_usage_error(tmp_path, monkeypatch):
+    # An OSError from writing the cache is one usage error line, not a traceback.
+    def full(algebra, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.HeckeAlgebra, "save_cache", full)
+    cache = tmp_path / "kl.json"
+    status, out, err = run_cli_err(["--type", "A2", "--cmd", "h", "--y", "e", "--x", "s", "--cache", str(cache)])
+    assert (status, out) == (1, "h(e, s) = v\n")
+    assert err == f"usage error: cannot write cache {cache}: [Errno 28] No space left on device\n"
 
 
 def test_scenario_determinism_cold_vs_warm(tmp_path):
