@@ -20,12 +20,12 @@ import json
 import os
 import stat
 import sys
-from itertools import chain
+from itertools import chain, starmap
 
 from .blocks import andersen_table, equivariant_hom_series, make_block
 from .coxeter import CoxeterError, CoxeterSystem
 from .hecke import HeckeAlgebra, MalformedKL
-from .lefschetz import _dumps, _json_lines, ih_poincare, lefschetz_audit, local_lefschetz_poly
+from .lefschetz import _dumps, _json_parts, ih_poincare, lefschetz_audit, local_lefschetz_poly
 
 __all__ = ["UsageError", "build_parser", "run", "main"]
 
@@ -222,34 +222,33 @@ def _ih(args, system, algebra, parabolic):
 
 def _audit(args, system, algebra, parabolic):
     result = lefschetz_audit(algebra)
-    reps, ihs = result.reports, result.ih_reports
-    # Reports with equal (d, h) share one poly, and result keeps every poly
-    # alive, so each distinct one is formatted once.
-    formatted: dict[int, str] = {}
-
-    def fmt_q(p) -> str:
-        text = formatted.get(id(p))
-        if text is None:
-            text = formatted[id(p)] = p.format("q")
-        return text
-
-    if not result.passed:
+    ihs, status = result.ih_reports, 0 if result.passed else 2
+    if status:
         print("internal inconsistency: lefschetz audit failed", file=sys.stderr)
-    return 0 if result.passed else 2, _render(
+
+    def pairs(split, quote=str):
+        # (head, y, x, tail) per pair: the labels, quoted, and the line of the
+        # pair's verdict split around them, made once per verdict (result keeps it alive).
+        labels, made = [quote(r.x_label) for r in ihs], {}
+        for xi, (ys, verdicts) in enumerate(result.rows):
+            parts = [made.get(id(v)) or made.setdefault(id(v), split(*v)) for v in verdicts]
+            yield from ((head, labels[yi], labels[xi], tail) for yi, (head, tail) in zip(ys, parts))
+
+    def text(d, poly, *flags):
+        return f"{'ok' if all(flags) else 'FAIL'} local (", f") poly={poly.format('q')}"
+
+    return status, _render(
         args.fmt,
-        chain(_json_lines(reps), (r.to_json_line() for r in ihs)),
+        chain(starmap("{}{},{}{}".format, pairs(_json_parts, json.dumps)), (r.to_json_line() for r in ihs)),
         "kind,y,x,d,palindromic,unimodal,nonneg",
         chain(
-            (("local", r.y_label, r.x_label, r.d, r.palindromic, r.unimodal, r.nonneg) for r in reps),
+            pairs(lambda d, poly, *flags: ("local", ",".join(map(str, (d, *flags))))),
             (("ih", "", r.x_label, "", r.palindromic, "", "") for r in ihs),
         ),
         chain(
-            (
-                f"{'ok' if r.passed else 'FAIL'} local ({r.y_label}, {r.x_label}) poly={fmt_q(r.poly)}"
-                for r in reps
-            ),
+            starmap("{}{}, {}{}".format, pairs(text)),
             (f"{'ok' if r.palindromic else 'FAIL'} ih {r.x_label} poly={r.poly.format('q')}" for r in ihs),
-            [f"audit: {'PASS' if result.passed else 'FAIL'}"],
+            [f"audit: {'FAIL' if status else 'PASS'}"],
         ),
     )
 

@@ -261,6 +261,18 @@ def _entry(W: CoxeterSystem, row: Raw, yi: int, xi: int) -> Mapping[int, int]:
     return {} if h is None else h
 
 
+def _saved_entry(pairs) -> dict[int, int]:
+    # A cache entry that is not in the pool, from its saved [[exp, coeff], ...].
+    # A pair that is not two ints raises TypeError or ValueError, as for a file
+    # save_cache never writes; a zero coefficient or a repeated exponent is MalformedKL.
+    h = dict(pairs)
+    if not all(type(e) is int and type(c) is int for e, c in h.items()):
+        raise TypeError(f"cache entry {pairs!r} is not a list of int pairs")
+    if len(h) != len(pairs) or 0 in h.values():
+        raise MalformedKL(f"cache entry {pairs!r} has a zero coefficient or an exponent twice")
+    return h
+
+
 def _class_memo(W: CoxeterSystem, low: int = 1) -> list[list[Mapping[int, dict[int, int]]]]:
     # For each l(x), the list over l(y) of the {id(h): h} classes that passed
     # _kl_class at d = l(x) - l(y): one dict per d >= low, which holds each h, so
@@ -490,18 +502,27 @@ class HeckeAlgebra:
         ``"kl"`` is ``[[x, [[y, [[exp, coeff], ...]], ...]], ...]``, ids by position
         in ``all_elements()``.  Missing or unreadable files, another schema or
         fingerprint and ids outside 0..order-1 return False: stale caches are
-        ignored, never migrated.  A row failing the check of computed rows
-        (``_check_row``, P_{y,x}(0) = 1 included), or whose y are not exactly
-        the Bruhat interval [e, x], raises ``MalformedKL`` before anything is
-        stored.  [e, x] is built from the row of u = sx when the file or the
-        memo holds it, else by ``CoxeterSystem._interval``.  Loaded entries are
-        pooled like computed ones.
+        ignored, never migrated, and so are exponents and coefficients that
+        are not ints (a float, string or boolean).  A row failing the check of
+        computed rows (``_check_row``, P_{y,x}(0) = 1 included), whose y are
+        not exactly the Bruhat interval [e, x] or that lists a y twice, a row
+        listed twice, and an entry with a zero coefficient or an exponent twice
+        raise ``MalformedKL`` before anything is stored.  [e, x] is built from
+        the row of u = sx when the file or the memo holds it, else by
+        ``CoxeterSystem._interval``.  Loaded entries are pooled like computed
+        ones.
         """
         W = self.system
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+                text = fh.read()
+            # A saved cache holds no true, false or null, and int() refuses every
+            # float, NaN and Infinity token.  Its only letters are those of its
+            # keys and of a hex hash: no "u", and one "l", that of "kl".
+            if "u" in text or text.find("l") != text.rfind("l"):
+                return False
+            data = json.loads(text, parse_float=int, parse_constant=int)
+        except (OSError, ValueError):
             return False
         if not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA:
             return False
@@ -524,13 +545,11 @@ class HeckeAlgebra:
         try:
             for xi, entries in data["kl"]:
                 # A pooled entry is found by the pairs as saved; others are built.
-                row = {
-                    yi: pool.get(tuple(map(tuple, pairs)))
-                    or intern({int(e): int(c) for e, c in pairs if int(c)})
-                    for yi, pairs in entries
-                }
+                row = {yi: pool.get(tuple(map(tuple, pairs))) or intern(_saved_entry(pairs)) for yi, pairs in entries}
                 if not all(type(i) is int and 0 <= i < n for i in (xi, *row)):
                     return False
+                if len(row) != len(entries) or xi in loaded:
+                    raise MalformedKL(f"the cache lists the row of uH({W.format_element(W._el(xi))}) or a y in it twice")
                 _check_row(W, xi, row, self._checked)
                 if row.keys() != interval(xi):
                     raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")

@@ -49,7 +49,7 @@ class LaurentPoly:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         c: dict[int, int] = {}
         for e, a in items:
-            if not isinstance(e, int) or isinstance(a, bool) or not isinstance(a, int):
+            if not (isinstance(e, int) and isinstance(a, int)) or isinstance(e, bool) or isinstance(a, bool):
                 raise TypeError(f"exponents and coefficients must be ints, got ({e!r}, {a!r})")
             if a:
                 na = c.get(e, 0) + a

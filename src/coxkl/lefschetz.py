@@ -17,12 +17,12 @@ checks are the executable content here; q tracks cohomological degree 2.
 The global companion is the graded Poincare polynomial of a Schubert closure,
 IP_x(q) = sum_{y <= x} q^l(y) P_{y,x}(q), which must be palindromic about
 l(x)/2.  ``lefschetz_audit`` batch-verifies both families over a whole group
-in one pass over each memoized KL row.  The local verdict depends only on the
-(d, h_{y,x}) class of a pair; D4 has 60 over its 9,817 Bruhat pairs.  A table
-by l(x), l(y) and id(h) gives each entry its verdict in one lookup; a class new
-to the audit is shape-checked and judged once, and IP_x is summed once per
-verdict of a row.  The reports are ``NamedTuple`` records, and those of a
-class share its verdict: the same ``poly`` object and flags.
+in one pass over each memoized KL row that ``_check_row`` accepts.  The local
+verdict depends only on the (d, h_{y,x}) class of a pair; D4 has 60 over its
+9,817 Bruhat pairs.  A table by l(x), l(y) and id(h) gives each entry its
+verdict in one lookup, a class new to the audit is judged once, and IP_x is
+summed once per verdict of a row.  The audit keeps the rows of verdicts and
+builds a ``LefschetzReport`` for a pair only when it is read.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A3")
@@ -33,24 +33,20 @@ class share its verdict: the same ``poly`` object and flags.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from operator import ge, le
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from operator import ge, index, le
+from typing import Mapping, NamedTuple
 
-from .coxeter import CoxeterSystem, Element
-from .hecke import HeckeAlgebra, Raw, _check_row, _class_memo, _entry
+from .coxeter import Element
+from .hecke import HeckeAlgebra, _check_row, _class_memo, _entry
 from .laurent import LaurentPoly, _acc
 
-__all__ = [
-    "LefschetzReport",
-    "IHReport",
-    "AuditResult",
-    "local_lefschetz_poly",
-    "ih_poincare",
-    "lefschetz_audit",
-]
+__all__ = ["LefschetzReport", "IHReport", "AuditResult", "local_lefschetz_poly", "ih_poincare", "lefschetz_audit"]
 
 
 class LefschetzReport(NamedTuple):
@@ -94,20 +90,6 @@ def _json_parts(d: int, poly: LaurentPoly, palindromic: bool, unimodal: bool, no
     return head + '"pair":[', "]" + tail
 
 
-def _json_lines(reports: Sequence[LefschetzReport]) -> Iterator[str]:
-    # to_json_line() of each report, with one _json_parts per verdict and one
-    # json.dumps per label.  As in lefschetz_audit, reports with one verdict
-    # share its poly, which the reports keep alive, so (d, id(poly)) names it.
-    parts: dict[tuple[int, int], tuple[str, str]] = {}
-    quoted: dict[str, str] = {}
-    for r in reports:
-        key = (r.d, id(r.poly))
-        head, tail = parts.get(key) or parts.setdefault(key, _json_parts(*r[4:]))
-        y = quoted.get(r.y_label) or quoted.setdefault(r.y_label, json.dumps(r.y_label))
-        x = quoted.get(r.x_label) or quoted.setdefault(r.x_label, json.dumps(r.x_label))
-        yield f"{head}{y},{x}{tail}"
-
-
 class IHReport(NamedTuple):
     """Global Poincare-duality verdict for one Schubert closure; a record."""
 
@@ -120,14 +102,47 @@ class IHReport(NamedTuple):
         return _dumps({"x": self.x_label, "ih": self.poly.pairs(), "palindromic": self.palindromic})
 
 
+class _Reports(Sequence):
+    # The LefschetzReport of each pair of an audit, x by x and y by id, each
+    # built when read; elements and labels come from the IHReport of each id.
+    def __init__(self, rows: tuple, ihs: tuple):
+        self._rows, self._ihs, self._ends = rows, ihs, [0, *accumulate(len(ys) for ys, _ in rows)]
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, i):
+        k = range(len(self))[index(i)]  # negative indices and IndexError as for a tuple
+        xi = bisect_right(self._ends, k) - 1
+        ys, verdicts = self._rows[xi]
+        return self._make(ys[k - self._ends[xi]], xi, verdicts[k - self._ends[xi]])
+
+    def __iter__(self):
+        return (self._make(yi, xi, v) for xi, (ys, verdicts) in enumerate(self._rows) for yi, v in zip(ys, verdicts))
+
+    def _make(self, yi: int, xi: int, verdict: tuple) -> LefschetzReport:
+        y, x = self._ihs[yi], self._ihs[xi]
+        return LefschetzReport._make((y.x, x.x, y.x_label, x.x_label) + verdict)
+
+
 @dataclass(frozen=True)
 class AuditResult:
-    reports: tuple[LefschetzReport, ...]
+    """The audit of a group, by element id.  ``rows[x]`` is the ys of the row
+    of x in id order and their verdicts, the (d, poly, palindromic, unimodal,
+    nonneg) tuple shared by every pair of a (d, h_{y,x}) class.  ``reports``
+    is a read-only sequence whose ``LefschetzReport`` records are built when read."""
+
+    rows: tuple[tuple[list[int], list[tuple]], ...]
     ih_reports: tuple[IHReport, ...]
+
+    @cached_property
+    def reports(self) -> Sequence[LefschetzReport]:
+        return _Reports(self.rows, self.ih_reports)
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.reports) and all(r.palindromic for r in self.ih_reports)
+        local = all(v[2] and v[3] and v[4] for _, verdicts in self.rows for v in verdicts)
+        return local and all(r.palindromic for r in self.ih_reports)
 
 
 def _local(h: Mapping[int, int], d: int) -> tuple:
@@ -146,36 +161,25 @@ def _local(h: Mapping[int, int], d: int) -> tuple:
 _UNIT = (0, *_local({0: 1}, 0))  # the verdict of y = x, h_{x,x} = 1
 
 
-def _table(W: CoxeterSystem) -> tuple[list, dict]:
-    # An empty verdict table, {id(h): verdict} per d >= 0 laid out as by
-    # hecke._class_memo, and (d, h) by id(verdict).  The memo rows keep each h,
-    # and the table each verdict, alive through a call, so no id is reused.
-    return _class_memo(W, 0), {id(_UNIT): (0, {0: 1})}
-
-
-def _row(W: CoxeterSystem, xi: int, row: Raw, table: list, source: dict):
-    # The memo row {y: h_{y,x}} of uH(x): its ys in id order, the verdict of
-    # each from table and IP_x.  A miss is judged only after a second lookup, as
-    # an earlier miss of the row may have stored its class, and only once _entry
-    # accepts it.  A row whose unit verdict is not at x alone fails _check_row.
+def _row(algebra: HeckeAlgebra, xi: int, table: list, source: dict):
+    # The memo row {y: h_{y,x}} of uH(x), once _check_row accepts it: its ys in
+    # id order, their verdicts and IP_x.  table, from _class_memo(W, 0), maps
+    # id(h) to the verdict of (d, h), and source maps id(verdict) to (d, h); as
+    # the memo rows keep each h and table each verdict alive, no id is reused.
+    W, row = algebra.system, algebra._kl_raw(xi)
+    _check_row(W, xi, row, algebra._checked)
     lengths, lx = W._lengths, W._lengths[xi]
     seen, ys = table[lx], sorted(row)
     verdicts = [seen[lengths[yi]].get(id(row[yi])) for yi in ys]
-    counts = Counter(map(id, verdicts))
-    if id(None) in counts:
-        for k, yi in enumerate(ys):
-            if verdicts[k] is None:
-                h, slot, d = row[yi], seen[lengths[yi]], lx - lengths[yi]
-                if id(h) not in slot:
-                    _entry(W, row, yi, xi)
-                    slot[id(h)] = v = _UNIT if d == 0 else (d, *_local(h, d))
-                    source[id(v)] = (d, h)
-                verdicts[k] = slot[id(h)]
-        counts = Counter(map(id, verdicts))
-    if counts[id(_UNIT)] != 1 or row.get(xi) != {0: 1}:
-        _check_row(W, xi, row)
+    if not all(verdicts):  # a class new to the audit, judged once
+        for yi in ys:
+            h, slot, d = row[yi], seen[lengths[yi]], lx - lengths[yi]
+            if id(h) not in slot:
+                slot[id(h)] = v = _UNIT if d == 0 else (d, *_local(h, d))
+                source[id(v)] = (d, h)
+        verdicts = [seen[lengths[yi]][id(row[yi])] for yi in ys]
     total: dict[int, int] = {}
-    for i, n in counts.items():
+    for i, n in Counter(map(id, verdicts)).items():
         d, h = source[i]
         _acc(total, h, d - 2 * lx, n)  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
     return ys, verdicts, LaurentPoly._raw({-e // 2: c for e, c in total.items()})  # v^e is q^(-e/2)
@@ -194,21 +198,17 @@ def ih_poincare(algebra: HeckeAlgebra, x: Element) -> LaurentPoly:
     For x the longest element every P is 1 and this is the length generating
     function of the whole group.
     """
-    xi = algebra.system._id(x)
-    return _row(algebra.system, xi, algebra._kl_raw(xi), *_table(algebra.system))[2]
+    return _row(algebra, algebra.system._id(x), _class_memo(algebra.system, 0), {})[2]
 
 
 def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
     """Run the local check on every comparable pair and the global one everywhere."""
-    W = algebra.system
-    lengths, elements = W._lengths, W.all_elements()
-    labels = [W.format_element(el) for el in elements]
-    table, new = _table(W), tuple.__new__
-    reports, ih_reports = [], []
-    for xi, x in enumerate(elements):
-        ys, verdicts, ip = _row(W, xi, algebra._kl_raw(xi), *table)
-        xlab, lx, c = labels[xi], lengths[xi], ip._c
-        reports += [new(LefschetzReport, (elements[yi], x, labels[yi], xlab) + v) for yi, v in zip(ys, verdicts)]
+    W, table, source = algebra.system, _class_memo(algebra.system, 0), {}
+    rows, ih_reports = [], []
+    for xi, x in enumerate(W.all_elements()):
+        ys, verdicts, ip = _row(algebra, xi, table, source)
+        rows.append((ys, verdicts))
         # Palindromic about l(x)/2, on the doubled centre: coefficient j is that of l(x) - j.
-        ih_reports.append(new(IHReport, (x, xlab, ip, all(a == c.get(lx - j, 0) for j, a in c.items()))))
-    return AuditResult(reports=tuple(reports), ih_reports=tuple(ih_reports))
+        c = ip._c
+        ih_reports.append(IHReport(x, W.format_element(x), ip, all(a == c.get(x.length - j, 0) for j, a in c.items())))
+    return AuditResult(tuple(rows), tuple(ih_reports))

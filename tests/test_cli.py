@@ -174,6 +174,41 @@ def test_tampered_cache_exits_2(tmp_path):
         assert path.read_bytes() == before, argv
 
 
+def test_cache_pairs_that_save_cache_never_writes(tmp_path):
+    # h_{e,sts} = v^3 is saved as [5,[[0,[[3,1]]],...; the same entry with a
+    # float, string or boolean pair is a mismatched cache (a warning, stdout
+    # as without a cache, the file rewritten), and one with a zero coefficient
+    # or listed twice is an inconsistency (exit 2, no stdout, the file untouched).
+    from coxkl import CoxeterSystem, HeckeAlgebra
+
+    args = ["--type", "A2", "--cmd", "ih", "--x", "sts"]
+    status, plain = run_cli(args)
+    a = HeckeAlgebra(CoxeterSystem.from_type("A2"))
+    a.kl_table()
+    a.save_cache(tmp_path / "good.json")
+    good = (tmp_path / "good.json").read_text()
+    assert "[5,[[0,[[3,1]]]," in good
+    for entry, mismatched in [
+        ("[0,[[3.0,1]]]", True),
+        ('[0,[["3","1"]]]', True),
+        ("[0,[[3,true]]]", True),
+        ("[0,[[false,1]]]", True),
+        ("[0,[[1,0],[3,1]]]", False),
+        ("[0,[[2,7]]],[0,[[3,1]]]", False),
+    ]:
+        cache = tmp_path / "kl.json"
+        cache.write_text(good.replace("[5,[[0,[[3,1]]],", f"[5,[{entry},"))
+        before = cache.read_text()
+        status, out, err = run_cli_err([*args, "--cache", str(cache)])
+        if mismatched:
+            assert (status, out, err) == (0, plain, f"warning: ignoring mismatched cache {cache}\n"), entry
+            assert cache.read_text() != before and "[5,[[0,[[3,1]]]," in cache.read_text(), entry
+        else:
+            assert (status, out) == (2, ""), entry
+            assert err.startswith("internal inconsistency: "), entry
+            assert cache.read_text() == before, entry
+
+
 def test_tampered_cache_exits_2_under_python_O(tmp_path):
     # The KL guards are explicit checks, not asserts, so -O keeps them.
     group, y, x, h, argv = TAMPERED[2]
@@ -405,18 +440,19 @@ def test_module_entry_point(tmp_path):
 
 
 def test_failed_audit_exits_2(monkeypatch):
-    # One local report with nonneg=False fails the audit: exit 2, one line on
-    # stderr, and the verdict line ends stdout.
-    from coxkl import CoxeterSystem, LaurentPoly
-    from coxkl.lefschetz import AuditResult, LefschetzReport
+    # One verdict with nonneg=False fails the audit: exit 2, one line on
+    # stderr, a FAIL line for its pair, and the verdict line ends stdout.
+    from coxkl import CoxeterSystem, HeckeAlgebra, LaurentPoly
+    from coxkl.lefschetz import AuditResult, lefschetz_audit
 
-    W = CoxeterSystem.from_type("A1")
-    s = W.parse_element("s")
-    bad = LefschetzReport(W.identity, s, "e", "s", 1, LaurentPoly.one(), True, True, False)
-    monkeypatch.setattr(cli, "lefschetz_audit", lambda algebra: AuditResult((bad,), ()))
+    real = lefschetz_audit(HeckeAlgebra(CoxeterSystem.from_type("A1")))
+    ys, verdicts = real.rows[1]  # the row of s: y = e, then y = s
+    rows = (real.rows[0], (ys, [(1, LaurentPoly.one(), True, True, False), verdicts[1]]))
+    monkeypatch.setattr(cli, "lefschetz_audit", lambda algebra: AuditResult(rows, real.ih_reports))
     status, out, err = run_cli_err(["--type", "A1", "--cmd", "audit"])
     assert (status, out, err) == (
         2,
-        "FAIL local (e, s) poly=1\naudit: FAIL\n",
+        "ok local (e, e) poly=0\nFAIL local (e, s) poly=1\nok local (s, s) poly=0\n"
+        "ok ih e poly=1\nok ih s poly=1 + q\naudit: FAIL\n",
         "internal inconsistency: lefschetz audit failed\n",
     )

@@ -497,6 +497,8 @@ def test_cache_mismatch_ignored(tmp_path, system):
 
     path.write_text("{not json")
     assert not a_a2.load_cache(path)
+    path.write_bytes(b"\xff\xfe{")  # not UTF-8
+    assert not a_a2.load_cache(path)
     path.write_text(json.dumps({"schema": 99, "coxeter_hash": "x", "kl": {}}))
     assert not a_a2.load_cache(path)
     assert not a_a2.load_cache(tmp_path / "missing.json")
@@ -615,6 +617,54 @@ def test_load_cache_rejects_malformed_rows(tmp_path, system, x, y, h):
     b = HeckeAlgebra(W)
     with pytest.raises(MalformedKL):
         b.load_cache(path)
+    assert not b._h
+
+
+def _edit_sts_row(path, edit):
+    # The saved A2 table at path, with edit applied to the row of sts (id 5),
+    # [[y, pairs], ...], whose first entry is h_{e,sts} = v^3, [0, [[3, 1]]].
+    data = json.loads(path.read_text())
+    (row,) = [entries for xi, entries in data["kl"] if xi == 5]
+    assert row[0] == [0, [[3, 1]]]
+    edit(data["kl"], row)
+    path.write_text(json.dumps(data))
+
+
+CACHE_VARIANTS = {
+    # Pairs save_cache never writes: load_cache returns False, as for an id that is not an int.
+    "float exponent": (lambda kl, row: row[0].__setitem__(1, [[3.0, 1]]), False),
+    "float coefficient": (lambda kl, row: row[0].__setitem__(1, [[3, 1.0]]), False),
+    "strings": (lambda kl, row: row[0].__setitem__(1, [["3", "1"]]), False),
+    "bool coefficient": (lambda kl, row: row[0].__setitem__(1, [[3, True]]), False),
+    "h_xx with a bool exponent": (lambda kl, row: row[-1].__setitem__(1, [[False, 1]]), False),
+    "NaN": (lambda kl, row: row[0].__setitem__(1, [[3, float("nan")]]), False),
+    # A wrong polynomial or row: MalformedKL.
+    "zero coefficient": (lambda kl, row: row[0].__setitem__(1, [[1, 0], [3, 1]]), MalformedKL),
+    "exponent twice": (lambda kl, row: row[0].__setitem__(1, [[3, 1], [3, 1]]), MalformedKL),
+    "y twice": (lambda kl, row: row.insert(0, [0, [[2, 7]]]), MalformedKL),
+    "x twice": (lambda kl, row: kl.append([5, row]), MalformedKL),
+}
+
+
+@pytest.mark.parametrize("variant", CACHE_VARIANTS)
+def test_load_cache_takes_only_pairs_save_cache_writes(tmp_path, system, variant):
+    # A float or bool pair equals a pooled entry's pairs as a tuple and int()
+    # turns strings into ints, so types are checked; a zero coefficient or a
+    # second entry for one y must not be dropped or win silently.
+    edit, outcome = CACHE_VARIANTS[variant]
+    a = HeckeAlgebra(system("A2"))
+    a.kl_table()
+    path = tmp_path / "kl.json"
+    a.save_cache(path)
+    b = HeckeAlgebra(a.system)
+    assert b.load_cache(path)
+    _edit_sts_row(path, edit)
+    b = HeckeAlgebra(a.system)
+    if outcome is False:
+        assert b.load_cache(path) is False
+    else:
+        with pytest.raises(outcome):
+            b.load_cache(path)
     assert not b._h
 
 

@@ -73,6 +73,14 @@ def test_normalization_and_equality():
         LaurentPoly({0: 1.5})
 
 
+@pytest.mark.parametrize("pairs", [{True: 1}, [(False, 2)], {1: True}, {0.5: 1}, {"1": 1}])
+def test_bool_and_non_int_pairs_are_refused(pairs):
+    # A bool is an int to isinstance, but prints as JSON true/false; exponents
+    # refuse it as coefficients do.
+    with pytest.raises(TypeError):
+        LaurentPoly(pairs)
+
+
 def test_pow():
     assert (v + one) ** 0 == one
     assert (v + one) ** 3 == P((0, 1), (1, 3), (2, 3), (3, 1))

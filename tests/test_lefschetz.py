@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from coxkl import lefschetz
 from coxkl.coxeter import CoxeterSystem
 from coxkl.hecke import HeckeAlgebra, MalformedKL, _check_row
 from coxkl.laurent import LaurentPoly
-from coxkl.lefschetz import _json_lines, ih_poincare, lefschetz_audit, local_lefschetz_poly
+from coxkl.lefschetz import AuditResult, ih_poincare, lefschetz_audit, local_lefschetz_poly
 
 from oracles import local_lefschetz_oracle
 
@@ -283,23 +284,37 @@ def test_report_json_lines(system, algebra):
     assert parsed["palindromic"]
 
 
-def test_json_lines_match_one_dumps_per_report():
-    # The audit's JSON lines splice each pair into its verdict's line; they
-    # must equal one json.dumps per report, also for labels JSON escapes.
-    W = CoxeterSystem([[1, 3, 2], [3, 1, 4], [2, 4, 1]], ["\u03c3", 'b"', "c\\"])
-    result = lefschetz_audit(HeckeAlgebra(W))
-    expect = [
-        json.dumps(
-            {"pair": [r.y_label, r.x_label], "d": r.d, "poly": r.poly.pairs(), "palindromic": r.palindromic,
-             "unimodal": r.unimodal, "nonneg": r.nonneg},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        for r in result.reports
-    ]
-    assert list(_json_lines(result.reports)) == expect
-    assert [r.to_json_line() for r in result.reports] == expect
-    assert any("\\u03c3" in line and '\\"' in line for line in expect)
+def test_json_lines_match_one_dumps_per_report(tmp_path, capsys):
+    # The CLI audit splices each pair's two labels into the text it made once
+    # per verdict.  In every format its local lines must equal the same report
+    # formatted on its own, one json.dumps per report for json, also for
+    # labels that JSON escapes.
+    from coxkl import cli
+
+    path = tmp_path / "escaped.json"
+    path.write_text(json.dumps({"rank": 3, "matrix": [[1, 3, 2], [3, 1, 4], [2, 4, 1]],
+                                "names": ["\u03c3", 'b"', "c\\"]}))
+    reports = list(lefschetz_audit(HeckeAlgebra(CoxeterSystem.from_json_file(path))).reports)
+    expect = {
+        "json": [
+            json.dumps(
+                {"pair": [r.y_label, r.x_label], "d": r.d, "poly": r.poly.pairs(), "palindromic": r.palindromic,
+                 "unimodal": r.unimodal, "nonneg": r.nonneg},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            for r in reports
+        ],
+        "csv": ["kind,y,x,d,palindromic,unimodal,nonneg"]
+        + [f"local,{r.y_label},{r.x_label},{r.d},{r.palindromic},{r.unimodal},{r.nonneg}" for r in reports],
+        "text": [f"{'ok' if r.passed else 'FAIL'} local ({r.y_label}, {r.x_label}) poly={r.poly.format('q')}"
+                 for r in reports],
+    }
+    for fmt, lines in expect.items():
+        assert cli.main(["--matrix", str(path), "--cmd", "audit", "--format", fmt]) == 0
+        assert capsys.readouterr().out.splitlines()[: len(lines)] == lines, fmt
+    assert [r.to_json_line() for r in reports] == expect["json"]
+    assert any("\\u03c3" in line and '\\"' in line for line in expect["json"])
 
 
 def test_reports_are_immutable_records(system, algebra):
@@ -316,17 +331,68 @@ def test_reports_are_immutable_records(system, algebra):
 
 
 def test_audit_reports_share_one_poly_per_verdict(system):
-    # One verdict, and so one poly object, per distinct (d, h) of the memo:
-    # 121 over the 98,407 reports of A5.
+    # One verdict object per distinct (d, h) of the memo: the rows of A5 hold
+    # 121 over its 98,407 pairs, and the reports read from them share its poly.
     W = system("A5")
     A = HeckeAlgebra(W)
     result = lefschetz_audit(A)
     lengths = W._lengths
     keys = {(lengths[xi] - lengths[yi], id(h)) for xi, row in A._h.items() for yi, h in row.items()}
-    assert len(result.reports) == 98407
-    assert len({id(r.poly) for r in result.reports}) == len(keys) == 121
+    verdicts = {id(v): v for _, vs in result.rows for v in vs}
+    assert len(result.reports) == sum(len(ys) for ys, _ in result.rows) == 98407
+    assert len(verdicts) == len(keys) == 121
+    assert {id(r.poly) for r in result.reports} == {id(v[1]) for v in verdicts.values()}
     # The algebra's memo of verified classes holds each of them but the unit
     # h_{x,x} = 1 at d = 0, and holds each once.
     checked = {(lx - ly, i) for lx, maps in enumerate(A._checked) for ly, m in enumerate(maps) for i in m}
     assert checked == keys - {(0, id(A._h[0][0]))} and len(checked) == 120
     assert sum(map(len, {id(m): m for maps in A._checked for m in maps}.values())) == 120
+
+
+def test_audit_builds_no_report_until_one_is_read(system, monkeypatch):
+    # The audit keeps rows of verdicts: neither it nor len(reports) builds a
+    # LefschetzReport, and each record read from reports is built then.
+    made = []
+
+    class Counting(lefschetz.LefschetzReport):
+        def __new__(cls, *fields):
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+        @classmethod
+        def _make(cls, fields):
+            made.append(fields)
+            return super()._make(fields)
+
+    monkeypatch.setattr(lefschetz, "LefschetzReport", Counting)
+    W = system("B3")
+    result = lefschetz_audit(HeckeAlgebra(W))
+    assert len(result.reports) == sum(len(ys) for ys, _ in result.rows) and not made
+    assert not any(type(o) is Counting for o in gc.get_objects())
+    assert isinstance(result, AuditResult) and result.passed and not made
+    first = result.reports[0]
+    assert type(first) is Counting and len(made) == 1
+    assert sum(1 for _ in result.reports) == len(result.reports) == len(made) - 1
+
+
+def test_audit_rows_and_report_view(system, algebra):
+    # rows[x] is the ys of the memo row of x in id order and their verdicts,
+    # the fields of each pair's report after its labels.  The view indexes and
+    # iterates like the tuple of those reports; it takes no slice.
+    W, A = system("H3"), algebra("H3")
+    result = lefschetz_audit(A)
+    reports = result.reports
+    assert result.reports is reports
+    assert [ys for ys, _ in result.rows] == [sorted(A._h[xi]) for xi in range(W.order)]
+    expect = tuple(reports)
+    assert [r[4:] for r in expect] == [v for _, vs in result.rows for v in vs]
+    assert [(W._id(r.y), W._id(r.x)) for r in expect] == [(yi, xi) for xi, (ys, _) in enumerate(result.rows) for yi in ys]
+    n = len(reports)
+    for k in (0, 1, n // 3, n - 1, -1, -n):
+        assert reports[k] == expect[k]
+    with pytest.raises(TypeError):
+        reports[5:40]
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            reports[k]
+    assert reports.index(expect[17]) == 17 and expect[-1] in reports
