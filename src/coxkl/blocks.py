@@ -176,14 +176,14 @@ def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
     names = tuple(block.weight_name(c) for c in block.cosets)
     label_of = {block.system._id(c.max_rep): lab for c, lab in zip(block.cosets, labels)}
     cells: dict[tuple[str, str], dict[int, int]] = {}
-    copies: dict[int, dict[int, int]] = {}  # one copy per pooled memo entry
+    copies: dict[int, dict[int, int]] = {}  # one copy per pool index
     for xi, xlab in label_of.items():
-        for yi, h in algebra._kl_raw(xi).items():
+        for yi, i in algebra._kl_raw(xi).items():
             ylab = label_of.get(yi)
             if ylab is not None:
-                cell = copies.get(id(h))
+                cell = copies.get(i)
                 if cell is None:
-                    cell = copies[id(h)] = dict(sorted(h.items()))
+                    cell = copies[i] = dict(sorted(algebra._polys[i].items()))
                 cells[(ylab, xlab)] = cell
     caption = (
         "graded dims of Hom(Delta(lambda[row]), K(lambda[col])); "

@@ -28,17 +28,18 @@ descent and memoized; the memo table can be persisted to a JSON cache keyed
 by a hash of the Coxeter matrix and generator order.
 
 A group has few distinct h_{y,x} (121 among the 98,407 entries of A5), so
-the algebra keeps one dict per distinct polynomial, its pool, and every memo
-entry, computed or loaded, is the pooled dict.  The recursion works on those
-shared objects: the left step on each pair {y, sy} and each mu-correction
-is one lookup in a memo keyed by the ids of its pooled operands, and only a
-miss calls ``_step`` or ``_acc``.  Pooled dicts are never mutated; what a
-public function returns is a copy.
+the algebra keeps each distinct polynomial once, in its pool, and every memo
+entry, computed or loaded, is the pool index of its polynomial.  The
+recursion works on indices: the left step on each pair {y, sy} and each
+mu-correction is one lookup in a memo keyed by the indices of its operands,
+and only a miss calls ``_step`` or ``_acc``.  Pooled dicts are never
+mutated; what a public function returns is a copy.
 
-Every row, computed, read through a symmetry (below) or loaded, passes
-``_check_row``, whose test of h_{y,x} depends only on the class (d, h),
-d = l(x) - l(y).  The algebra keeps the classes it has verified (120 on A5
-besides h_{x,x} = 1), so each entry costs one lookup and each class one test.
+A valid h_{y,x}, y < x, fixes its class (d, h), d = l(x) - l(y): P_{y,x}(0)
+= 1 puts coefficient 1 at v^d and every other exponent lies below d, so
+d = max(h).  A polynomial's class is tested once, when it joins the pool,
+and every row, computed, read through a symmetry (below) or loaded, passes
+``_check_row`` at one comparison per entry.
 
 The table is invariant under a small group G of symmetries of W:
 h_{y,x} = h_{y^-1,x^-1} (from the anti-involution H_w -> H_{w^-1}) and
@@ -49,7 +50,7 @@ G = <inversion> x Aut0 has 2 elements on B_n (n >= 3) and H_n, 4 on A_n
 (n >= 2), F4 and E6, and 12 on D4.  So a row is computed at most once per
 orbit of G: before recursing, ``_kl_raw`` looks for a memoized row of g(x),
 g != 1 in G, and if there is one, the row of x is that row read through g,
-{g^-1(y): h}, sharing its pooled dicts.  It is checked and counted like any
+{g^-1(y): h}, sharing its pool indices.  It is checked and counted like any
 computed row.  The id tables of G come from the Cayley tables and are built
 at the first row the algebra computes, so an algebra that only loads a cache
 never builds them.  On A5, 490 of the 720 rows are read this way in id order.
@@ -58,8 +59,8 @@ never builds them.  On A5, 490 of the 720 rows are read this way in id order.
 >>> W = CoxeterSystem.from_type("A3")
 >>> A = HeckeAlgebra(W)
 >>> A.kl_table()
->>> entries = [h for row in A._h.values() for h in row.values()]
->>> len(entries), len({id(h) for h in entries})
+>>> entries = [i for row in A._h.values() for i in row.values()]
+>>> len(entries), len(set(entries))
 (213, 10)
 >>> x = W.parse_element("s2s1s3s2")
 >>> h = A.h_poly(W.identity, x)
@@ -71,7 +72,7 @@ from __future__ import annotations
 
 import json
 import os
-from functools import cache
+import threading
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -88,6 +89,8 @@ class MalformedKL(RuntimeError):
 
 
 Raw = dict[int, dict[int, int]]  # element id -> {exponent: coefficient}
+Row = dict[int, int]  # element id -> pool index
+_ONE = 0  # the pool index of h_{x,x} = 1, which every algebra interns first
 
 # H_y (H_s + c) = H_ys + c H_y when ys > y and H_ys + (c + v^-1 - v) H_y
 # when ys < y, by H_s^2 = H_e + (v^-1 - v) H_s.  Each constant holds the two
@@ -236,29 +239,14 @@ def _from_raw(system: CoxeterSystem, raw: Raw) -> HeckeElt:
     )
 
 
-@cache
-def _kl_exponents(d: int) -> frozenset[int]:
-    # The exponents i of h_{y,x} with d = l(x) - l(y): 1 <= i <= d, i = d mod 2; none if d <= 0.
-    return frozenset(range(d, 0, -2))
-
-
 def _h_name(W: CoxeterSystem, yi: int, xi: int) -> str:
     return f"h({W.format_element(W._el(yi))}, {W.format_element(W._el(xi))})"
 
 
 def _kl_class(h: Mapping[int, int], d: int) -> bool:
-    # Whether h can be h_{y,x}, y < x, d = l(x) - l(y): exponents in _kl_exponents(d)
+    # Whether h can be h_{y,x}, y < x, d = l(x) - l(y): exponents i with 1 <= i <= d, i = d mod 2,
     # and P_{y,x}(0) = 1, the coefficient of v^d (Kazhdan-Lusztig 1979).  No h passes for d <= 0.
-    return h.get(d) == 1 and h.keys() <= _kl_exponents(d)
-
-
-def _entry(W: CoxeterSystem, row: Raw, yi: int, xi: int) -> Mapping[int, int]:
-    # h_{y,x} from the row of x, {} when y is not in it.  An entry present is
-    # refused unless it is h_{x,x} = 1 at y = x or passes _kl_class, as in _check_row.
-    h = row.get(yi)
-    if h is not None and not (yi == xi and h == {0: 1} or _kl_class(h, W._lengths[xi] - W._lengths[yi])):
-        raise MalformedKL(f"{_h_name(W, yi, xi)} = {LaurentPoly(h)} is not a valid KL family member")
-    return {} if h is None else h
+    return h.get(d) == 1 and h.keys() <= set(range(d, 0, -2))
 
 
 def _saved_entry(pairs) -> dict[int, int]:
@@ -271,31 +259,6 @@ def _saved_entry(pairs) -> dict[int, int]:
     if len(h) != len(pairs) or 0 in h.values():
         raise MalformedKL(f"cache entry {pairs!r} has a zero coefficient or an exponent twice")
     return h
-
-
-def _class_memo(W: CoxeterSystem, low: int = 1) -> list[list[Mapping[int, dict[int, int]]]]:
-    # For each l(x), the list over l(y) of the {id(h): h} classes that passed
-    # _kl_class at d = l(x) - l(y): one dict per d >= low, which holds each h, so
-    # no id in it is reused.  d < low maps to an empty read-only map.
-    top = W._lengths[-1]
-    by_d = [{} for _ in range(top + 1)]
-    none = MappingProxyType({})
-    return [[by_d[lx - ly] if lx - ly >= low else none for ly in range(top + 1)] for lx in range(top + 1)]
-
-
-def _check_row(W: CoxeterSystem, xi: int, row: Raw, memo: list | None = None) -> None:
-    # The shape of a KL row {y: h_{y,x}}: h_{x,x} = 1, and _kl_class(h_{y,x},
-    # l(x) - l(y)) for every other y, tested only for a class not yet in memo
-    # (from _class_memo(W), fresh when None) and stored there once it passes.
-    if row.get(xi) != {0: 1}:
-        raise MalformedKL(f"uH({W.format_element(W._el(xi))}) must be unitriangular")
-    lengths, lx = W._lengths, W._lengths[xi]
-    seen = (memo or _class_memo(W))[lx]
-    for yi, h in row.items():
-        if id(h) not in seen[lengths[yi]] and yi != xi:
-            if not _kl_class(h, lx - lengths[yi]):
-                raise MalformedKL(f"{_h_name(W, yi, xi)} breaks v*Z[v], the length bound, parity or P(0) = 1")
-            seen[lengths[yi]][id(h)] = h
 
 
 def _symmetries(W: CoxeterSystem) -> list[tuple[list[int], list[int]]]:
@@ -315,7 +278,7 @@ def _symmetries(W: CoxeterSystem) -> list[tuple[list[int], list[int]]]:
 class HeckeAlgebra:
     """KL basis machinery over one Coxeter system, with a memoized table.
 
-    The memo maps x to the full coefficient family {h_{y,x}}.  It can be
+    The memo maps x to the coefficient family {h_{y,x}} by pool index.  It can be
     loaded from and saved to a JSON cache file; a cache whose fingerprint
     does not match the system is ignored rather than migrated.
 
@@ -326,25 +289,61 @@ class HeckeAlgebra:
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        # xid -> yid -> {exponent: coefficient}; entries are pooled, never mutated.
-        self._h: dict[int, Raw] = {}
-        # The one dict kept for each distinct polynomial, by its sorted items.
-        self._pool: dict[tuple, dict[int, int]] = {}
-        # Pool arithmetic memoized on the ids of its operands.  Each value
-        # holds its operands, so no id is reused while its entry exists.
-        self._ops: dict[tuple, tuple] = {}
+        # xid -> yid -> the pool index of h_{y,x}.
+        self._h: dict[int, Row] = {}
+        # The pool, the one owner of polynomials: _polys[i] is the dict of index
+        # i, never mutated, _pool maps its sorted items to i, and _deg[i] is the
+        # d = max(h) with _kl_class(h, d), or None when h is in no KL class.
+        self._polys: list[dict[int, int]] = []
+        self._pool: dict[tuple, int] = {}
+        self._deg: list[int | None] = []
+        self._lock = threading.Lock()
+        # Pool arithmetic memoized on the indices of its operands.
+        self._ops: dict[tuple, int | tuple[int, int]] = {}
         self.computed_count = 0
         # _symmetries(system), built at the first computed row.
         self._sym: list[tuple[list[int], list[int]]] | None = None
-        # The (d, id(h)) classes _check_row has verified, as _class_memo lays them out.
-        self._checked = _class_memo(system)
+        self._intern({0: 1})  # index _ONE
 
-    def _intern(self, d: dict[int, int]) -> dict[int, int]:
-        return self._pool.setdefault(tuple(sorted(d.items())), d)
+    def _intern(self, h: dict[int, int]) -> int:
+        # The pool index of h; a new h is classed here, once.  An index is
+        # published in _pool only after _polys and _deg hold its entry, and
+        # the lock keeps two threads from taking the same one.
+        key = tuple(sorted(h.items()))
+        i = self._pool.get(key)
+        if i is None:
+            with self._lock:
+                i = self._pool.get(key)
+                if i is None:
+                    d = max(h, default=0)
+                    self._deg.append(d if _kl_class(h, d) else None)
+                    self._polys.append(h)
+                    i = self._pool[key] = len(self._polys) - 1
+        return i
+
+    def _check_row(self, xi: int, row: Row) -> None:
+        # The shape of a KL row {y: index of h_{y,x}}: h_{x,x} = 1, and
+        # _kl_class(h_{y,x}, l(x) - l(y)) for every other y, read off _deg.
+        W, deg = self.system, self._deg
+        if row.get(xi) != _ONE:
+            raise MalformedKL(f"uH({W.format_element(W._el(xi))}) must be unitriangular")
+        lengths, lx = W._lengths, W._lengths[xi]
+        for yi, i in row.items():
+            if deg[i] != lx - lengths[yi] and yi != xi:
+                raise MalformedKL(f"{_h_name(W, yi, xi)} breaks v*Z[v], the length bound, parity or P(0) = 1")
+
+    def _entry(self, yi: int, xi: int) -> Mapping[int, int]:
+        # h_{y,x} from the row of x, {} when y is not in it.  An entry present
+        # is refused as _check_row refuses it in a row.
+        i = self._kl_raw(xi).get(yi)
+        if i is None:
+            return {}
+        self._check_row(xi, {xi: _ONE, yi: i})
+        return self._polys[i]
 
     # -- KL recursion ---------------------------------------------------
 
-    def _kl_raw(self, xi: int) -> Raw:
+    def _kl_raw(self, xi: int) -> Row:
         row = self._h.get(xi)
         if row is not None:
             return row
@@ -358,48 +357,47 @@ class HeckeAlgebra:
         # some g(x), the row of x is that row read through g.
         seen = next(((self._h[g[xi]], back) for g, back in self._sym if g[xi] in self._h), None)
         if seen is not None:
-            res = {seen[1][yi]: h for yi, h in seen[0].items()}
+            res = {seen[1][yi]: i for yi, i in seen[0].items()}
         elif not word:
-            res: Raw = {xi: self._intern({0: 1})}
+            res: Row = {xi: _ONE}
         else:
             # Pivot on the smallest left descent s (the first letter of the
             # ShortLex word); with u = sx the product uH(s) uH(u) equals
             # uH(x) + sum of mu(z, u) uH(z) over z < u with sz < z.
             s = word[0]
             C = self._kl_raw(left[xi][s])
-            ops, intern = self._ops, self._intern
+            polys, ops, intern = self._polys, self._ops, self._intern
             # T is stored as the row of x: its keys are [e, u] | s[e, u] = [e, x].
             # uH(s) uH(u) on a pair {y, sy} with y < sy depends only on
             # (h_{y,u}, h_{sy,u}): one memo lookup per pair.  C covers the
             # lower set [e, u], so each pair is met at y; h_{sy,u} may be 0.
-            T: Raw = {}
+            T: Row = {}
             for yi, a in C.items():
                 hi = left[yi][s]
                 if lengths[hi] < lengths[yi]:
                     continue  # done from its lower element hi
                 b = C.get(hi)
-                key = (id(a), id(b))
-                got = ops.get(key)
+                got = ops.get((a, b))
                 if got is None:
-                    out = _step(W, {yi: a, hi: b or {}}, s, _UH, "left")
-                    got = ops.setdefault(key, (a, b, intern(out[yi]), intern(out[hi])))
-                T[yi], T[hi] = got[2], got[3]
+                    out = _step(W, {yi: polys[a], hi: {} if b is None else polys[b]}, s, _UH, "left")
+                    got = ops.setdefault((a, b), (intern(out[yi]), intern(out[hi])))
+                T[yi], T[hi] = got
             for zi, p in C.items():
                 if lengths[left[zi][s]] < lengths[zi]:
-                    m = p.get(1, 0)
+                    m = polys[p].get(1, 0)
                     if m:
                         for wi, pw in self._kl_raw(zi).items():
                             # T[w] -= m h_{w,z}, one memo lookup.
                             cur = T[wi]
-                            key = (id(cur), id(pw), m)
+                            key = (cur, pw, m)
                             got = ops.get(key)
                             if got is None:
-                                d = dict(cur)
-                                _acc(d, pw, 0, -m)
-                                got = ops.setdefault(key, (cur, pw, intern(d)))
-                            T[wi] = got[2]
+                                d = dict(polys[cur])
+                                _acc(d, polys[pw], 0, -m)
+                                got = ops.setdefault(key, intern(d))
+                            T[wi] = got
             res = T
-        _check_row(W, xi, res, self._checked)
+        self._check_row(xi, res)
         self._h[xi] = res
         self.computed_count += 1
         return res
@@ -407,7 +405,7 @@ class HeckeAlgebra:
     def kl_element(self, x: Element) -> HeckeElt:
         """The bar-invariant basis element uH(x) = sum_y h_{y,x}(v) H_y."""
         xi = self.system._id(x)
-        return _from_raw(self.system, {yi: dict(d) for yi, d in self._kl_raw(xi).items()})
+        return _from_raw(self.system, {yi: dict(self._polys[i]) for yi, i in self._kl_raw(xi).items()})
 
     def kl_table(self) -> None:
         """Compute (or finish computing) uH(x) for every x in the group."""
@@ -418,13 +416,13 @@ class HeckeAlgebra:
         """h_{y,x}(v): the H_y-coefficient of uH(x); zero unless y <= x."""
         W = self.system
         yi, xi = W._id(y), W._id(x)
-        d = self._kl_raw(xi).get(yi)
-        return LaurentPoly._raw(dict(d)) if d else LaurentPoly.zero()
+        i = self._kl_raw(xi).get(yi)
+        return LaurentPoly.zero() if i is None else LaurentPoly._raw(dict(self._polys[i]))
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
         """P_{y,x}(q), from h_{y,x}(v) = v^(l(x)-l(y)) P_{y,x}(v^-2)."""
         W, xi, d = self.system, self.system._id(x), x.length - y.length
-        return LaurentPoly({(d - i) // 2: c for i, c in _entry(W, self._kl_raw(xi), W._id(y), xi).items()})
+        return LaurentPoly({(d - i) // 2: c for i, c in self._entry(W._id(y), xi).items()})
 
     def mu(self, y: Element, x: Element) -> int:
         """The coefficient of v in h_{y,x}: the Kazhdan-Lusztig mu(y, x), 0 unless y < x."""
@@ -449,9 +447,9 @@ class HeckeAlgebra:
             for xi in layer:
                 c = rem.pop(xi)
                 out[xi] = c
-                for yi, hp in self._kl_raw(xi).items():
+                for yi, i in self._kl_raw(xi).items():
                     if yi != xi:
-                        _mac(rem.setdefault(yi, {}), hp, c, -1)
+                        _mac(rem.setdefault(yi, {}), self._polys[i], c, -1)
             rem = {yi: d for yi, d in rem.items() if d}
         return {
             W._el(xi): LaurentPoly(d)
@@ -475,10 +473,9 @@ class HeckeAlgebra:
 
     def save_cache(self, path) -> None:
         """Write the memo table as deterministic JSON, rows and entries by id."""
-        kl = [
-            [xi, [[yi, sorted(h.items())] for yi, h in sorted(row.items())]]
-            for xi, row in sorted(self._h.items())
-        ]
+        rows = sorted(self._h.items())
+        items = [sorted(h.items()) for h in self._polys]  # read after rows, so it has each index they name
+        kl = [[xi, [[yi, items[i]] for yi, i in sorted(row.items())]] for xi, row in rows]
         blob = json.dumps(
             {"schema": CACHE_SCHEMA, "coxeter_hash": self.system.fingerprint, "kl": kl},
             sort_keys=True,
@@ -530,7 +527,12 @@ class HeckeAlgebra:
             return False
         n, left, words = W.order, W._left, W._words
         pool, intern = self._pool, self._intern
-        loaded: dict[int, Raw] = {}
+        loaded: dict[int, Row] = {}
+
+        def index(pairs) -> int:
+            # A pooled entry is found by the pairs as saved; others are built.
+            i = pool.get(tuple(map(tuple, pairs)))
+            return intern(_saved_entry(pairs)) if i is None else i
 
         def interval(xi: int) -> set[int]:
             # [e, x] = [e, u] | s[e, u], with s the first letter of x and u = sx,
@@ -544,13 +546,12 @@ class HeckeAlgebra:
 
         try:
             for xi, entries in data["kl"]:
-                # A pooled entry is found by the pairs as saved; others are built.
-                row = {yi: pool.get(tuple(map(tuple, pairs))) or intern(_saved_entry(pairs)) for yi, pairs in entries}
+                row = {yi: index(pairs) for yi, pairs in entries}
                 if not all(type(i) is int and 0 <= i < n for i in (xi, *row)):
                     return False
                 if len(row) != len(entries) or xi in loaded:
                     raise MalformedKL(f"the cache lists the row of uH({W.format_element(W._el(xi))}) or a y in it twice")
-                _check_row(W, xi, row, self._checked)
+                self._check_row(xi, row)
                 if row.keys() != interval(xi):
                     raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")
                 loaded[xi] = row

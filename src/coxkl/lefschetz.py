@@ -18,10 +18,11 @@ The global companion is the graded Poincare polynomial of a Schubert closure,
 IP_x(q) = sum_{y <= x} q^l(y) P_{y,x}(q), which must be palindromic about
 l(x)/2.  ``lefschetz_audit`` batch-verifies both families over a whole group
 in one pass over each memoized KL row that ``_check_row`` accepts.  The local
-verdict depends only on the (d, h_{y,x}) class of a pair; D4 has 60 over its
-9,817 Bruhat pairs.  A table by l(x), l(y) and id(h) gives each entry its
-verdict in one lookup, a class new to the audit is judged once, and IP_x is
-summed once per verdict of a row.  The audit keeps the rows of verdicts and
+verdict depends only on the (d, h_{y,x}) class of a pair, and in an accepted
+row that class is fixed by the pool index of h_{y,x}; D4 has 60 over its
+9,817 Bruhat pairs.  A table by pool index gives each entry its verdict in
+one lookup, a class new to the audit is judged once, and IP_x is summed once
+per pool index of a row.  The audit keeps the rows of verdicts and
 builds a ``LefschetzReport`` for a pair only when it is read.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
@@ -43,7 +44,7 @@ from operator import ge, index, le
 from typing import Mapping, NamedTuple
 
 from .coxeter import Element
-from .hecke import HeckeAlgebra, _check_row, _class_memo, _entry
+from .hecke import HeckeAlgebra
 from .laurent import LaurentPoly, _acc
 
 __all__ = ["LefschetzReport", "IHReport", "AuditResult", "local_lefschetz_poly", "ih_poincare", "lefschetz_audit"]
@@ -161,34 +162,26 @@ def _local(h: Mapping[int, int], d: int) -> tuple:
 _UNIT = (0, *_local({0: 1}, 0))  # the verdict of y = x, h_{x,x} = 1
 
 
-def _row(algebra: HeckeAlgebra, xi: int, table: list, source: dict):
-    # The memo row {y: h_{y,x}} of uH(x), once _check_row accepts it: its ys in
-    # id order, their verdicts and IP_x.  table, from _class_memo(W, 0), maps
-    # id(h) to the verdict of (d, h), and source maps id(verdict) to (d, h); as
-    # the memo rows keep each h and table each verdict alive, no id is reused.
-    W, row = algebra.system, algebra._kl_raw(xi)
-    _check_row(W, xi, row, algebra._checked)
-    lengths, lx = W._lengths, W._lengths[xi]
-    seen, ys = table[lx], sorted(row)
-    verdicts = [seen[lengths[yi]].get(id(row[yi])) for yi in ys]
-    if not all(verdicts):  # a class new to the audit, judged once
-        for yi in ys:
-            h, slot, d = row[yi], seen[lengths[yi]], lx - lengths[yi]
-            if id(h) not in slot:
-                slot[id(h)] = v = _UNIT if d == 0 else (d, *_local(h, d))
-                source[id(v)] = (d, h)
-        verdicts = [seen[lengths[yi]][id(row[yi])] for yi in ys]
+def _row(algebra: HeckeAlgebra, xi: int, table: dict):
+    # The memo row {y: index of h_{y,x}} of uH(x), once _check_row accepts it:
+    # its ys in id order, their verdicts and IP_x.  table maps a pool index to
+    # the verdict of its class, whose d is _deg[i], None only for h_{x,x} = 1.
+    row, polys, lx = algebra._kl_raw(xi), algebra._polys, algebra.system._lengths[xi]
+    algebra._check_row(xi, row)
     total: dict[int, int] = {}
-    for i, n in Counter(map(id, verdicts)).items():
-        d, h = source[i]
-        _acc(total, h, d - 2 * lx, n)  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
-    return ys, verdicts, LaurentPoly._raw({-e // 2: c for e, c in total.items()})  # v^e is q^(-e/2)
+    for i, n in Counter(row.values()).items():
+        if i not in table:  # a class new to the audit, judged once
+            d = algebra._deg[i]
+            table[i] = _UNIT if d is None else (d, *_local(polys[i], d))
+        _acc(total, polys[i], table[i][0] - 2 * lx, n)  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
+    ys = sorted(row)
+    return ys, [table[row[yi]] for yi in ys], LaurentPoly._raw({-e // 2: c for e, c in total.items()})  # v^e is q^(-e/2)
 
 
 def local_lefschetz_poly(algebra: HeckeAlgebra, y: Element, x: Element) -> LefschetzReport:
     """Build the local Lefschetz polynomial and its three property verdicts."""
     W, d, xi = algebra.system, x.length - y.length, algebra.system._id(x)
-    h = _entry(W, algebra._kl_raw(xi), W._id(y), xi)
+    h = algebra._entry(W._id(y), xi)
     return LefschetzReport(y, x, W.format_element(y), W.format_element(x), d, *_local(h, d))
 
 
@@ -198,15 +191,15 @@ def ih_poincare(algebra: HeckeAlgebra, x: Element) -> LaurentPoly:
     For x the longest element every P is 1 and this is the length generating
     function of the whole group.
     """
-    return _row(algebra, algebra.system._id(x), _class_memo(algebra.system, 0), {})[2]
+    return _row(algebra, algebra.system._id(x), {})[2]
 
 
 def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
     """Run the local check on every comparable pair and the global one everywhere."""
-    W, table, source = algebra.system, _class_memo(algebra.system, 0), {}
+    W, table = algebra.system, {}
     rows, ih_reports = [], []
     for xi, x in enumerate(W.all_elements()):
-        ys, verdicts, ip = _row(algebra, xi, table, source)
+        ys, verdicts, ip = _row(algebra, xi, table)
         rows.append((ys, verdicts))
         # Palindromic about l(x)/2, on the doubled centre: coefficient j is that of l(x) - j.
         c = ip._c

@@ -140,7 +140,7 @@ def _tampered_cache(path, group, y, x, h):
         a.kl_table()
         del a._h[xi][yi]
     else:
-        a._h[xi] = {yi: h, xi: {0: 1}}
+        a._h[xi] = {yi: a._intern(h), xi: a._intern({0: 1})}
     a.save_cache(path)
     return path
 

@@ -1,9 +1,9 @@
-import gc
 import hashlib
 import itertools
 import json
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,7 +182,7 @@ def kl_digest(A):
     digest, count = hashlib.sha256(), 0
     for xi, row in sorted(A._h.items()):
         count += len(row)
-        line = [xi, [[yi, sorted(h.items())] for yi, h in sorted(row.items())]]
+        line = [xi, [[yi, sorted(A._polys[i].items())] for yi, i in sorted(row.items())]]
         digest.update(json.dumps(line).encode() + b"\n")
     return count, digest.hexdigest()
 
@@ -255,7 +255,7 @@ def test_derived_rows_are_checked(system):
     A = HeckeAlgebra(W)
     st, ts = W._id(W.parse_element("st")), W._id(W.parse_element("ts"))
     A._kl_raw(st)
-    A._h[st][0] = {5: 1}
+    A._h[st][0] = A._intern({5: 1})
     with pytest.raises(MalformedKL):
         A._kl_raw(ts)
     assert ts not in A._h
@@ -269,15 +269,15 @@ def test_rows_need_p0_one(system):
     A = HeckeAlgebra(W)
     st, ts = W._id(W.parse_element("st")), W._id(W.parse_element("ts"))
     A._kl_raw(st)
-    A._h[st][0] = {2: 5}
+    A._h[st][0] = A._intern({2: 5})
     with pytest.raises(MalformedKL):
         A._kl_raw(ts)
     assert ts not in A._h
 
 
 def test_derived_rows_share_the_pool(system):
-    # Rows read through a symmetry count as computed and reuse the pooled
-    # dicts of the row they are read from.
+    # Rows read through a symmetry count as computed and reuse the pool
+    # indices of the row they are read from.
     W = system("D4")
     A = HeckeAlgebra(W)
     A.kl_table()
@@ -285,16 +285,17 @@ def test_derived_rows_share_the_pool(system):
     for g, _ in A._sym:
         for xi, row in A._h.items():
             other = A._h[g[xi]]
-            assert all(other[g[yi]] is h for yi, h in row.items())
+            assert all(other[g[yi]] == i for yi, i in row.items())
 
 
 def test_equal_entries_are_one_pooled_dict(system):
-    # A5 has 121 distinct h_{y,x} among its 98,407 memo entries.
+    # A5 has 121 distinct h_{y,x} among its 98,407 memo entries, each named
+    # by one pool index.
     A = HeckeAlgebra(system("A5"))
     A.kl_table()
-    entries = [h for row in A._h.values() for h in row.values()]
+    entries = [i for row in A._h.values() for i in row.values()]
     assert len(entries) == 98407
-    assert len({id(h) for h in entries}) == len({tuple(sorted(h.items())) for h in entries}) == 121
+    assert len(set(entries)) == len({tuple(sorted(A._polys[i].items())) for i in entries}) == 121
 
 
 def test_results_are_copies_of_the_pool(system):
@@ -319,27 +320,17 @@ def test_results_are_copies_of_the_pool(system):
 
 
 def test_fresh_memo_dicts_never_meet_stale_ops(system):
-    # Pool arithmetic is memoized on operand ids.  Build the table in eight
-    # rounds; after each, rebuild every memo row as fresh, equal, unpooled
-    # dicts, in reverse order, once the old ones and the pool are dropped, so
-    # that freed addresses come back holding other polynomials.  The table
-    # must still be right.
+    # Pool arithmetic is memoized on pool indices.  Build the table in eight
+    # rounds, each on top of the memo rows and _ops of the rounds before; the
+    # table must still be right.
     W = system("B3")
     A = HeckeAlgebra(W)
     for stop in range(W.order // 8, W.order + 1, W.order // 8):
         for xi in range(stop):
             A._kl_raw(xi)
-        saved = [(xi, [(yi, sorted(h.items())) for yi, h in row.items()]) for xi, row in A._h.items()]
-        A._h.clear()
-        A._pool.clear()
-        gc.collect()
-        for xi, row in reversed(saved):
-            A._h[xi] = {yi: dict(items) for yi, items in reversed(row)}
     solved = kl_basis_bruteforce(W)
     for x in W.all_elements():
         assert dict(A.kl_element(x).terms) == {y: LaurentPoly(p) for y, p in solved[x].items()}
-    # Each memo value holds the operands its key names, so none was freed.
-    assert all(key[:2] == (id(val[0]), id(val[1])) for key, val in A._ops.items())
 
 
 @pytest.mark.parametrize("code", ["A3", "B2"])
@@ -442,9 +433,13 @@ def test_cache_roundtrip(tmp_path, system):
     a2 = HeckeAlgebra(W)
     assert a2.load_cache(path)
     assert a2.computed_count == 0
-    # Loaded entries go through the pool: equal entries are one dict.
-    entries = [h for row in a2._h.values() for h in row.values()]
-    assert len({id(h) for h in entries}) == len({tuple(sorted(h.items())) for h in entries}) == 10
+    # Loaded entries go through the pool: no content is pooled twice, every
+    # unit entry holds the one unit index, and the table is the computed one.
+    entries = [i for row in a2._h.values() for i in row.values()]
+    assert len(set(entries)) == len({tuple(sorted(a2._polys[i].items())) for i in entries}) == 10
+    assert len(a2._polys) == len(a2._pool) == 10
+    assert [i for i in entries if a2._polys[i] == {0: 1}] == [a2._pool[((0, 1),)]] * W.order
+    assert kl_digest(a2) == kl_digest(a1)
     for x in W.all_elements():
         for y in W.all_elements():
             assert a2.h_poly(y, x) == a1.h_poly(y, x)
@@ -546,22 +541,22 @@ def test_one_row_cache_is_accepted(tmp_path, system, code):
     path = tmp_path / "one.json"
     for xi, row in full._h.items():
         a = HeckeAlgebra(W)
-        a._h[xi] = row
+        a._h[xi] = {yi: a._intern(full._polys[i]) for yi, i in row.items()}
         a.save_cache(path)
         b = HeckeAlgebra(W)
-        assert b.load_cache(path) and b._h == {xi: row}
+        assert b.load_cache(path) and kl_digest(b) == kl_digest(a)
 
 
 def test_malformed_kl_guard(system):
     W = system("A2")
     a = HeckeAlgebra(W)
     xi = W._id(W.parse_element("st"))
-    a._h[xi] = {W._id(W.identity): {5: 1}, xi: {0: 1}}  # impossible degree
+    a._h[xi] = {W._id(W.identity): a._intern({5: 1}), xi: a._intern({0: 1})}  # impossible degree
     with pytest.raises(MalformedKL):
         a.kl_polynomial(W.identity, W.parse_element("st"))
     # A y longer than x is refused even when its exponents would fit l(y) - l(x).
     si = W._id(W.parse_element("s"))
-    a._h[si] = {xi: {1: 1}, si: {0: 1}}
+    a._h[si] = {xi: a._intern({1: 1}), si: a._intern({0: 1})}
     with pytest.raises(MalformedKL):
         ih_poincare(a, W.parse_element("s"))
 
@@ -572,7 +567,7 @@ def test_tampered_memo_raises_malformed_kl(system):
     W = system("A2")
     a = HeckeAlgebra(W)
     ti = W._id(W.parse_element("t"))
-    a._h[ti] = {W._id(W.identity): {2: 1}, ti: {0: 1}}
+    a._h[ti] = {W._id(W.identity): a._intern({2: 1}), ti: a._intern({0: 1})}
     with pytest.raises(MalformedKL):
         a.kl_element(W.parse_element("st"))
     # h_{e,st} = v^5 has an impossible degree; the audit and IP_x read the
@@ -580,7 +575,7 @@ def test_tampered_memo_raises_malformed_kl(system):
     # must still refuse it.
     a = HeckeAlgebra(W)
     sti = W._id(W.parse_element("st"))
-    a._h[sti] = {W._id(W.identity): {5: 1}, sti: {0: 1}}
+    a._h[sti] = {W._id(W.identity): a._intern({5: 1}), sti: a._intern({0: 1})}
     with pytest.raises(MalformedKL):
         lefschetz_audit(a)
     with pytest.raises(MalformedKL):
@@ -611,7 +606,7 @@ def test_load_cache_rejects_malformed_rows(tmp_path, system, x, y, h):
     if h is None:
         del row[yi]
     else:
-        row[yi] = h
+        row[yi] = a._intern(h)
     path = tmp_path / "kl.json"
     a.save_cache(path)
     b = HeckeAlgebra(W)
@@ -750,4 +745,38 @@ def test_concurrent_memoization(system):
     shared.kl_table()
     reference = HeckeAlgebra(W)
     reference.kl_table()
-    assert shared._h == reference._h
+    # Indices belong to one algebra: compare rows through each one's pool.
+    for xi, row in reference._h.items():
+        assert {yi: shared._polys[i] for yi, i in shared._h[xi].items()} == {
+            yi: reference._polys[i] for yi, i in row.items()
+        }
+    # No two threads took one index, and each index maps back to its content.
+    assert len(shared._polys) == len(shared._pool) == len(shared._deg)
+    assert all(shared._polys[i] == dict(key) for key, i in shared._pool.items())
+
+    # Threads that intern the same new polynomials at once, switching nearly
+    # every bytecode, get one index per polynomial; h = v + b v^3 has the
+    # class d = 3 when b = 1 and none otherwise.
+    polys = [{1: a, 3: b} for a in range(1, 30) for b in range(1, 30)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            fresh, got = HeckeAlgebra(W), []
+
+            def intern_all(seed):
+                order = random.Random(seed).sample(polys, len(polys))
+                got.append({tuple(sorted(h.items())): fresh._intern(dict(h)) for h in order})
+
+            threads = [threading.Thread(target=intern_all, args=(i,)) for i in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert len(got) == 8 and all(g == got[0] for g in got)
+            assert len(fresh._polys) == len(fresh._pool) == len(fresh._deg) == len(polys) + 1
+            for key, i in fresh._pool.items():
+                assert fresh._polys[i] == dict(key) and fresh._deg[i] == (3 if key[-1] == (3, 1) else None)
+    finally:
+        sys.setswitchinterval(interval)

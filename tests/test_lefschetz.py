@@ -6,7 +6,7 @@ import pytest
 
 from coxkl import lefschetz
 from coxkl.coxeter import CoxeterSystem
-from coxkl.hecke import HeckeAlgebra, MalformedKL, _check_row
+from coxkl.hecke import HeckeAlgebra, MalformedKL
 from coxkl.laurent import LaurentPoly
 from coxkl.lefschetz import AuditResult, ih_poincare, lefschetz_audit, local_lefschetz_poly
 
@@ -180,7 +180,7 @@ def test_audit_flags_a_non_palindromic_ih_series(system):
     A = HeckeAlgebra(W)
     A.kl_table()
     x = W.parse_element("s2s1s3s2")
-    A._h[W._id(x)][W._id(W.identity)] = {2: 3, 4: 1}
+    A._h[W._id(x)][W._id(W.identity)] = A._intern({2: 3, 4: 1})
     result = lefschetz_audit(A)
     ihr = result.ih_reports[W._id(x)]
     assert ihr.x == x and ihr.poly == ih_poincare(A, x)
@@ -197,28 +197,28 @@ def test_audit_flags_a_non_palindromic_ih_series(system):
         ("st", "s", {}),  # a stored entry is never zero
         ("s", "st", {1: 1}),  # y longer than x, though v fits l(y) - l(x)
         ("sts", "sts", {0: 2}),  # not unitriangular
-        ("st", "ts", "h_xx"),  # y of length l(x) sharing x's pooled h_{x,x}
+        ("st", "ts", "h_xx"),  # y of length l(x) sharing the pool index of x's h_{x,x}
         ("st", "e", {2: 5}),  # degree and parity fit, but P_{e,st}(0) = 5
         ("st", "e", "h_es"),  # the pooled h_{e,s} = v, verified at d = 1 only
     ],
 )
 def test_audit_and_ih_refuse_what_check_row_refuses(system, x, y, h):
-    # The audit and ih_poincare shape-check a row once per (d, h) class, not
-    # per entry.  They must refuse every row _check_row refuses, also the one
+    # The audit and ih_poincare judge a row once per pool index, not per
+    # entry.  They must refuse every row _check_row refuses, also the one
     # whose y of length l(x) falls into the class of h_{x,x} = 1.  _check_row
-    # refuses it with or without the algebra's memo of verified classes, full
-    # after the table, and a refused class is never remembered as verified.
+    # refuses it each time it is asked, with the pool full after the table.
     W = system("A2")
     A = HeckeAlgebra(W)
     A.kl_table()
     xi, yi = W._id(W.parse_element(x)), W._id(W.parse_element(y))
     row = A._h[xi]
     if isinstance(h, str):
-        h = {"h_xx": row[xi], "h_es": A._h[W._id(W.parse_element("s"))][0]}[h]
-    row[yi] = h
-    for memo in (None, A._checked, A._checked):
+        row[yi] = {"h_xx": row[xi], "h_es": A._h[W._id(W.parse_element("s"))][0]}[h]
+    else:
+        row[yi] = A._intern(h)
+    for _ in range(2):
         with pytest.raises(MalformedKL):
-            _check_row(W, xi, row, memo)
+            A._check_row(xi, row)
     with pytest.raises(MalformedKL):
         lefschetz_audit(A)
     with pytest.raises(MalformedKL):
@@ -246,7 +246,7 @@ def test_local_verdicts_match_oracle_on_tampered_classes(system, y, h, verdicts)
     A = HeckeAlgebra(W)
     A.kl_table()
     x, y = W.parse_element("s2s1s3s2"), W.parse_element(y)
-    A._h[W._id(x)][W._id(y)] = h
+    A._h[W._id(x)][W._id(y)] = A._intern(h)
     rep = next(r for r in lefschetz_audit(A).reports if (r.y, r.x) == (y, x))
     assert rep == local_lefschetz_poly(A, y, x)
     assert (dict(rep.poly.pairs()), *rep[6:]) == local_lefschetz_oracle(h, rep.d)
@@ -261,10 +261,15 @@ def test_audit_judges_each_class_once(code, classes, system, monkeypatch):
     W = system(code)
     A = HeckeAlgebra(W)
     calls, local = [], lefschetz._local
-    monkeypatch.setattr(lefschetz, "_local", lambda h, d: calls.append((d, id(h))) or local(h, d))
+
+    def counted(h, d):
+        calls.append((d, A._pool[tuple(sorted(h.items()))]))
+        return local(h, d)
+
+    monkeypatch.setattr(lefschetz, "_local", counted)
     lefschetz_audit(A)
     lengths = W._lengths
-    keys = {(lengths[xi] - lengths[yi], id(h)) for xi, row in A._h.items() for yi, h in row.items()}
+    keys = {(lengths[xi] - lengths[yi], i) for xi, row in A._h.items() for yi, i in row.items()}
     assert sorted(calls) == sorted(k for k in keys if k[0] > 0) and len(calls) == classes
 
 
@@ -337,16 +342,16 @@ def test_audit_reports_share_one_poly_per_verdict(system):
     A = HeckeAlgebra(W)
     result = lefschetz_audit(A)
     lengths = W._lengths
-    keys = {(lengths[xi] - lengths[yi], id(h)) for xi, row in A._h.items() for yi, h in row.items()}
+    keys = {(lengths[xi] - lengths[yi], i) for xi, row in A._h.items() for yi, i in row.items()}
     verdicts = {id(v): v for _, vs in result.rows for v in vs}
     assert len(result.reports) == sum(len(ys) for ys, _ in result.rows) == 98407
     assert len(verdicts) == len(keys) == 121
     assert {id(r.poly) for r in result.reports} == {id(v[1]) for v in verdicts.values()}
-    # The algebra's memo of verified classes holds each of them but the unit
-    # h_{x,x} = 1 at d = 0, and holds each once.
-    checked = {(lx - ly, i) for lx, maps in enumerate(A._checked) for ly, m in enumerate(maps) for i in m}
-    assert checked == keys - {(0, id(A._h[0][0]))} and len(checked) == 120
-    assert sum(map(len, {id(m): m for maps in A._checked for m in maps}.values())) == 120
+    # The class the pool records for each index is the class of each of its
+    # entries, for all of them but the unit h_{x,x} = 1 at d = 0, which has none.
+    checked = {(A._deg[i], i) for _, i in keys if A._deg[i] is not None}
+    assert checked == keys - {(0, A._h[0][0])} and len(checked) == 120
+    assert A._deg[A._h[0][0]] is None and len({i for _, i in keys}) == 121
 
 
 def test_audit_builds_no_report_until_one_is_read(system, monkeypatch):
