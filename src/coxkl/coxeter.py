@@ -16,8 +16,9 @@ by (length, word), and every other ordering in the package derives from that.
 
 Infinite matrices are rejected: the diagram is first checked against the
 classification of finite types (any diagram outside the catalog presents an
-infinite group).  The catalog order is compared with a configurable element
-bound before enumerating, and the enumeration enforces the bound again.
+infinite group).  The catalog order is compared with the element bound
+``DEFAULT_MAX_ELEMENTS``, read at each construction, before enumerating, and
+the enumeration enforces the bound again.
 
 Matrix entries equal to 5 force golden-ratio arithmetic in the weight
 coordinates; scalars are therefore pairs (a, b) meaning a + b*phi with
@@ -283,8 +284,6 @@ class CoxeterSystem:
         self,
         matrix: Sequence[Sequence[int]],
         names: Sequence[str] | None = None,
-        *,
-        max_elements: int = DEFAULT_MAX_ELEMENTS,
     ):
         self._matrix = self._validate_matrix(matrix)
         self.rank = len(self._matrix)
@@ -295,9 +294,9 @@ class CoxeterSystem:
                 "the Coxeter matrix presents an infinite group (diagram outside the finite catalog)"
             )
         self.type_label, expected_order = classified
-        if expected_order > max_elements:
-            raise InfiniteGroupError(f"order {expected_order} exceeds the element bound {max_elements}")
-        self._enumerate(max_elements)
+        if expected_order > DEFAULT_MAX_ELEMENTS:
+            raise InfiniteGroupError(f"order {expected_order} exceeds the element bound {DEFAULT_MAX_ELEMENTS}")
+        self._enumerate()
         if self.order != expected_order:
             raise CoxeterError("enumeration disagrees with the catalog order")
 
@@ -352,7 +351,7 @@ class CoxeterSystem:
             )
         return out
 
-    def _enumerate(self, max_elements: int) -> None:
+    def _enumerate(self) -> None:
         n = self.rank
         # Cartan-style pairing a[s][t] as (int, phi) pairs: a_ss = 2 and for a
         # bond of label m the two directed entries multiply to 4cos^2(pi/m).
@@ -394,10 +393,8 @@ class CoxeterSystem:
                 i = index.get(img)
                 if i is None:
                     i = len(weights)
-                    if i >= max_elements:
-                        raise InfiniteGroupError(
-                            f"enumeration exceeded the element bound {max_elements}"
-                        )
+                    if i >= DEFAULT_MAX_ELEMENTS:
+                        raise InfiniteGroupError(f"enumeration exceeded the element bound {DEFAULT_MAX_ELEMENTS}")
                     index[img] = i
                     weights.append(img)
                     words.append(words[e] + (s,))
@@ -427,12 +424,12 @@ class CoxeterSystem:
     # -- alternate constructors -----------------------------------------
 
     @classmethod
-    def from_type(cls, code: str, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> CoxeterSystem:
+    def from_type(cls, code: str) -> CoxeterSystem:
         """Build a standard system from a type code such as "A3" or "H3"."""
-        return cls(_builtin_matrix(code), max_elements=max_elements)
+        return cls(_builtin_matrix(code))
 
     @classmethod
-    def from_json(cls, data: dict, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> CoxeterSystem:
+    def from_json(cls, data: dict) -> CoxeterSystem:
         """Build from the JSON shape {"rank": n, "matrix": [[..]], "names": [..]}."""
         try:
             rank = data["rank"]
@@ -444,12 +441,12 @@ class CoxeterSystem:
         rows = cls._validate_matrix(matrix)
         if len(rows) != rank:
             raise CoxeterError(f"declared rank {rank} but matrix has {len(rows)} rows")
-        return cls(rows, data.get("names"), max_elements=max_elements)
+        return cls(rows, data.get("names"))
 
     @classmethod
-    def from_json_file(cls, path, *, max_elements: int = DEFAULT_MAX_ELEMENTS) -> CoxeterSystem:
+    def from_json_file(cls, path) -> CoxeterSystem:
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh), max_elements=max_elements)
+            return cls.from_json(json.load(fh))
 
     # -- basic accessors -------------------------------------------------
 

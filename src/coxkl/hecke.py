@@ -22,6 +22,9 @@ All arithmetic is one generator step, ``_step``: a raw element times H_s
 (``mul_by_gen`` and ``*``), bar(H_s) = H_s + (v - v^-1) (``bar``) or
 uH(s) = H_s + v (the KL recursion and ``bott_samelson``), on the right or on
 the left.  The constants ``_H``, ``_BAR_H`` and ``_UH`` hold those actions.
+Every step reads and writes the raw form {element id: {exp: coeff}}, which is
+also what a ``HeckeElt`` holds; Elements and ``LaurentPoly`` are built only
+where a public function returns or prints.
 
 KL elements are computed by the standard recursion on the smallest left
 descent and memoized; the memo table can be persisted to a JSON cache keyed
@@ -33,7 +36,8 @@ entry, computed or loaded, is the pool index of its polynomial.  The
 recursion works on indices: the left step on each pair {y, sy} and each
 mu-correction is one lookup in a memo keyed by the indices of its operands,
 and only a miss calls ``_step`` or ``_acc``.  Pooled dicts are never
-mutated; what a public function returns is a copy.
+mutated: ``kl_element`` wraps them as they are, and what a public function
+returns to read is a copy.
 
 A valid h_{y,x}, y < x, fixes its class (d, h), d = l(x) - l(y): P_{y,x}(0)
 = 1 puts coefficient 1 at v^d and every other exponent lies below d, so
@@ -117,26 +121,39 @@ def _step(W: CoxeterSystem, raw: Raw, s: int, gen, side: str = "right") -> Raw:
     return out
 
 
+def _same_system(a: CoxeterSystem, b: CoxeterSystem) -> bool:
+    # Equal matrices number the elements alike; the generator names must agree too.
+    return a is b or (a.coxeter_matrix, a.generator_names) == (b.coxeter_matrix, b.generator_names)
+
+
 class HeckeElt:
     """A finite sum  sum_y c_y(v) H_y  in the standard basis.
 
-    Immutable; ``terms`` maps canonical elements to nonzero Laurent
-    polynomials.  Addition, subtraction and scalar multiplication are
-    coefficient-wise; ``*`` between two elements is the Hecke product.
+    Immutable.  It holds one private map {id of y: {exp: coeff}} in ascending
+    id order, which is the (length, ShortLex) order, and with no empty map.
+    Those maps may be shared (``kl_element`` shares the pooled ones) and are
+    never mutated.  The constructor checks its {Element: LaurentPoly | int}
+    input once; ``terms``, ``coeff`` and ``support`` build Elements and copied
+    Laurent polynomials when read.  Addition, subtraction and scalar
+    multiplication are coefficient-wise; ``*`` between two elements is the
+    Hecke product.  Elements over different systems do not mix.
     """
 
-    __slots__ = ("system", "_terms")
+    __slots__ = ("system", "_r")
 
-    def __init__(self, system: CoxeterSystem, terms: Mapping[Element, LaurentPoly]):
-        clean: dict[Element, LaurentPoly] = {}
-        for el, p in sorted(terms.items(), key=lambda kv: kv[0].sort_key):
-            system._id(el)
-            if not isinstance(p, LaurentPoly):
-                p = LaurentPoly.monomial(0, p)
-            if p:
-                clean[el] = p
+    def __init__(self, system: CoxeterSystem, terms: Mapping[Element, LaurentPoly | int]):
+        raw = {}
+        for el, p in terms.items():
+            raw[system._id(el)] = (p if isinstance(p, LaurentPoly) else LaurentPoly.monomial(0, p))._c
         self.system = system
-        self._terms = clean
+        self._r = {yi: raw[yi] for yi in sorted(raw) if raw[yi]}
+
+    @classmethod
+    def _wrap(cls, system: CoxeterSystem, raw: Raw) -> HeckeElt:
+        # An internal result: raw's maps belong to the element from here on.
+        elt = cls(system, {})
+        elt._r = {yi: raw[yi] for yi in sorted(raw) if raw[yi]}
+        return elt
 
     @classmethod
     def standard(cls, system: CoxeterSystem, x: Element) -> HeckeElt:
@@ -145,42 +162,49 @@ class HeckeElt:
 
     @property
     def terms(self) -> Mapping[Element, LaurentPoly]:
-        return MappingProxyType(self._terms)
+        return MappingProxyType({self.system._el(yi): LaurentPoly._raw(dict(p)) for yi, p in self._r.items()})
 
     def coeff(self, x: Element) -> LaurentPoly:
-        return self._terms.get(x, LaurentPoly.zero())
+        return LaurentPoly._raw(dict(self._r.get(self.system._id(x), {})))
 
     def support(self) -> tuple[Element, ...]:
-        return tuple(self._terms)
+        return tuple(map(self.system._el, self._r))
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._r
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HeckeElt):
             return NotImplemented
-        return self._terms == other._terms
+        return _same_system(self.system, other.system) and self._r == other._r
 
     def __hash__(self):
-        return hash(tuple((el.word, p.pairs()) for el, p in self._terms.items()))
+        return hash(tuple((yi, tuple(sorted(p.items()))) for yi, p in self._r.items()))
+
+    def _check(self, other: HeckeElt) -> None:
+        if not _same_system(self.system, other.system):
+            raise CoxeterError("cannot combine elements over different systems")
 
     def __add__(self, other: HeckeElt) -> HeckeElt:
         if not isinstance(other, HeckeElt):
             return NotImplemented
-        out = dict(self._terms)
-        for el, p in other._terms.items():
-            out[el] = out.get(el, LaurentPoly.zero()) + p
-        return HeckeElt(self.system, out)
+        self._check(other)
+        out = dict(self._r)
+        for yi, p in other._r.items():
+            out[yi] = d = dict(out.get(yi, {}))
+            _acc(d, p)
+        return HeckeElt._wrap(self.system, out)
 
     def __sub__(self, other: HeckeElt) -> HeckeElt:
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, (int, LaurentPoly)):
-            return HeckeElt(self.system, {el: p * other for el, p in self._terms.items()})
+            return HeckeElt._wrap(self.system, {yi: (LaurentPoly._raw(p) * other)._c for yi, p in self._r.items()})
         if isinstance(other, HeckeElt):
-            return self._product(other)
+            self._check(other)
+            return other._fold(self._r, _H)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -191,30 +215,21 @@ class HeckeElt:
         H_y H_s = H_{ys} when ys > y and H_{ys} + (v^-1 - v) H_y otherwise;
         the left case is symmetric.
         """
-        return _from_raw(self.system, _step(self.system, self._raw(), s, _H, side))
-
-    def _raw(self) -> Raw:
-        # Shares the coefficient maps, which _step and _mac only read.
-        return {self.system._id(el): p._c for el, p in self._terms.items()}
+        return HeckeElt._wrap(self.system, _step(self.system, self._r, s, _H, side))
 
     def _fold(self, start: Raw, gen, bar: bool = False) -> HeckeElt:
         # The sum over the terms c H_x of self of start * gen(s_1)...gen(s_k) * c
         # (bar(c) when bar is set), where s_1...s_k is the reduced word of x.
         W = self.system
         total: Raw = {}
-        for el, p in self._terms.items():
+        for xi, p in self._r.items():
             cur = start
-            for s in el.word:
+            for s in W._words[xi]:
                 cur = _step(W, cur, s, gen)
-            c = p.bar()._c if bar else p._c
+            c = {-e: a for e, a in p.items()} if bar else p
             for yi, poly in cur.items():
                 _mac(total.setdefault(yi, {}), poly, c)
-        return _from_raw(W, total)
-
-    def _product(self, other: HeckeElt) -> HeckeElt:
-        if self.system is not other.system:
-            raise CoxeterError("cannot multiply elements over different systems")
-        return other._fold(self._raw(), _H)
+        return HeckeElt._wrap(W, total)
 
     def bar(self) -> HeckeElt:
         """The bar involution: v -> v^-1 and H_x -> (H_{x^-1})^-1.
@@ -226,17 +241,10 @@ class HeckeElt:
 
     def __repr__(self) -> str:
         W = self.system
-        if not self._terms:
+        if not self._r:
             return "HeckeElt(0)"
-        bits = [f"({p})H[{W.format_element(el)}]" for el, p in self._terms.items()]
+        bits = [f"({p})H[{W.format_element(x)}]" for x, p in self.terms.items()]
         return "HeckeElt(" + " + ".join(bits) + ")"
-
-
-def _from_raw(system: CoxeterSystem, raw: Raw) -> HeckeElt:
-    return HeckeElt(
-        system,
-        {system._el(i): LaurentPoly._raw(d) for i, d in raw.items() if d},
-    )
 
 
 def _h_name(W: CoxeterSystem, yi: int, xi: int) -> str:
@@ -405,7 +413,7 @@ class HeckeAlgebra:
     def kl_element(self, x: Element) -> HeckeElt:
         """The bar-invariant basis element uH(x) = sum_y h_{y,x}(v) H_y."""
         xi = self.system._id(x)
-        return _from_raw(self.system, {yi: dict(self._polys[i]) for yi, i in self._kl_raw(xi).items()})
+        return HeckeElt._wrap(self.system, {yi: self._polys[i] for yi, i in self._kl_raw(xi).items()})
 
     def kl_table(self) -> None:
         """Compute (or finish computing) uH(x) for every x in the group."""
@@ -431,30 +439,24 @@ class HeckeAlgebra:
     # -- basis conversion -------------------------------------------------
 
     def to_kl_basis(self, a: HeckeElt) -> dict[Element, LaurentPoly]:
-        """Coefficients c_x with a = sum_x c_x(v) uH(x).
-
-        Works by peeling the maximal-length support: those coefficients are
-        already final because every uH(x) is unitriangular in length.
-        """
-        if a.system is not self.system:
+        """Coefficients c_x with a = sum_x c_x(v) uH(x), x in (length, ShortLex) order."""
+        if not _same_system(a.system, self.system):
             raise CoxeterError("element does not belong to this algebra's system")
-        W = self.system
-        rem = {W._id(el): dict(p._c) for el, p in a.terms.items()}
-        out: Raw = {}
-        while rem:
-            top = max(W._lengths[yi] for yi in rem)
-            layer = [yi for yi in rem if W._lengths[yi] == top]
-            for xi in layer:
-                c = rem.pop(xi)
+        return self._peel({yi: dict(p) for yi, p in a._r.items()})
+
+    def _peel(self, rem: Raw) -> dict[Element, LaurentPoly]:
+        # to_kl_basis on a raw element whose maps it may consume.  From the
+        # largest id down: every y < x in the row of x has a smaller id, so
+        # the coefficient at x is final when x is reached.
+        W, polys, out = self.system, self._polys, {}
+        for xi in range(max(rem, default=-1), -1, -1):
+            c = rem.pop(xi, None)
+            if c:
                 out[xi] = c
                 for yi, i in self._kl_raw(xi).items():
                     if yi != xi:
-                        _mac(rem.setdefault(yi, {}), self._polys[i], c, -1)
-            rem = {yi: d for yi, d in rem.items() if d}
-        return {
-            W._el(xi): LaurentPoly(d)
-            for xi, d in sorted(out.items(), key=lambda kv: W._el(kv[0]).sort_key)
-        }
+                        _mac(rem.setdefault(yi, {}), polys[i], c, -1)
+        return {W._el(xi): LaurentPoly._raw(out[xi]) for xi in reversed(out)}
 
     def bott_samelson(self, word: Iterable[int]) -> dict[Element, LaurentPoly]:
         """KL-basis decomposition of the product uH(s_1) ... uH(s_k).
@@ -463,11 +465,10 @@ class HeckeAlgebra:
         indecomposable objects indexed by group elements occur in the
         corresponding iterated tensor (Bott-Samelson) object.
         """
-        W = self.system
         raw: Raw = {0: {0: 1}}
         for s in word:
-            raw = _step(W, raw, s, _UH)
-        return self.to_kl_basis(_from_raw(W, raw))
+            raw = _step(self.system, raw, s, _UH)
+        return self._peel(raw)
 
     # -- persistence -------------------------------------------------------
 

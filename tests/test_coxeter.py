@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from coxkl import coxeter
 from coxkl.coxeter import CoxeterError, CoxeterSystem, Element, InfiniteGroupError
 from coxkl.laurent import LaurentPoly
 
@@ -94,18 +95,20 @@ def test_infinite_matrices_rejected():
         CoxeterSystem([[1, 6, 2], [6, 1, 3], [2, 3, 1]])
 
 
-def test_element_bound_enforced():
+def test_element_bound_enforced(monkeypatch):
+    monkeypatch.setattr(coxeter, "DEFAULT_MAX_ELEMENTS", 10)
     with pytest.raises(InfiniteGroupError):
-        CoxeterSystem.from_type("A3", max_elements=10)
+        CoxeterSystem.from_type("A3")
 
 
 def test_element_bound_checked_before_enumerating(monkeypatch):
-    def enumerate_(self, max_elements):
+    def enumerate_(self):
         pytest.fail("enumerated a group whose catalog order is above the bound")
 
     monkeypatch.setattr(CoxeterSystem, "_enumerate", enumerate_)
+    monkeypatch.setattr(coxeter, "DEFAULT_MAX_ELEMENTS", 1000)
     with pytest.raises(InfiniteGroupError):
-        CoxeterSystem.from_type("F4", max_elements=1000)
+        CoxeterSystem.from_type("F4")
 
 
 def test_json_input(tmp_path):

@@ -1,6 +1,10 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import coxkl
 
 
 @pytest.mark.parametrize(
@@ -14,3 +18,15 @@ def test_star_import_binds_all(name):
     exported = importlib.import_module(name).__all__
     assert len(set(exported)) == len(exported)
     assert set(exported) <= namespace.keys()
+
+
+def test_package_has_no_assert():
+    # `python -O` strips assert statements, so every guard in the package is
+    # an explicit raise.
+    src = Path(coxkl.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} asserts on lines {lines}"

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import operator
 import os
 import random
 import sys
@@ -64,6 +65,24 @@ def test_product_examples(system, algebra):
 def test_product_requires_same_system(system):
     with pytest.raises(CoxeterError):
         H(system("A2"), "s") * H(system("B2"), "s")
+
+
+def test_elements_over_different_systems_do_not_mix(system):
+    # Ids of two systems never meet: +, - and * raise and == is false unless
+    # the Coxeter matrices and the generator names agree.
+    W = system("A2")
+    a = H(W, "s")
+    renamed = CoxeterSystem([[1, 3], [3, 1]], ["a", "b"])
+    for other in (H(system("B2"), "s"), H(system("B2"), "st"), HeckeElt.standard(renamed, W.generators[0])):
+        assert a != other
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(CoxeterError):
+                op(a, other)
+        with pytest.raises(CoxeterError):
+            HeckeAlgebra(other.system).to_kl_basis(a)
+    twin = CoxeterSystem.from_type("A2")
+    assert H(twin, "s") == a and hash(H(twin, "s")) == hash(a)
+    assert H(twin, "t") + a == H(W, "s") + H(W, "t")
 
 
 def test_bar_examples(system):
@@ -312,6 +331,11 @@ def test_results_are_copies_of_the_pool(system):
     A.h_poly(W.identity, x)._c[2] = 9
     for p in A.kl_element(x).terms.values():
         p._c[7] = 1
+    A.kl_element(x).coeff(W.identity)._c[3] = 1
+    for p in (A.kl_element(x) * A.kl_element(x)).terms.values():
+        p._c[5] = 1
+    for p in (A.kl_element(x) + H(W, "s1")).terms.values():
+        p._c[6] = 1
     for cell in table.cells.values():
         cell[99] = 1
     assert kl_digest(A) == before
@@ -374,7 +398,7 @@ def test_to_kl_basis_examples(system, algebra):
     assert back == {W.parse_element("s"): LaurentPoly({1: 1, -1: 1})}
 
 
-@pytest.mark.parametrize("code", ["A3", "B2"])
+@pytest.mark.parametrize("code", ["A3", "B2", "H3", "B3"])
 def test_to_kl_basis_roundtrip_random(code, system, algebra):
     W, A = system(code), algebra(code)
     rng = random.Random(41)
@@ -386,6 +410,7 @@ def test_to_kl_basis_roundtrip_random(code, system, algebra):
         }
         a = HeckeElt(W, terms)
         coeffs = A.to_kl_basis(a)
+        assert list(coeffs) == sorted(coeffs, key=lambda z: (z.length, z.word))
         total = HeckeElt(W, {})
         for x, c in coeffs.items():
             total = total + c * A.kl_element(x)
