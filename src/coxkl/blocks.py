@@ -113,7 +113,9 @@ class DimTable:
     ``cells`` maps (row label, column label) to {i: dim}, with zero cells
     omitted; equal cells of one ``andersen_table`` may share a dict.  Labels
     are the words of the longest coset representatives; ``display_names``
-    carries the symbolic weight names for captions.
+    carries the symbolic weight names for captions.  Each renderer's Python
+    work is linear in the nonzero cells and formats each distinct cell dict
+    once; text adds one padded ``.`` per empty cell, copied in C.
     """
 
     row_labels: tuple[str, ...]
@@ -122,49 +124,61 @@ class DimTable:
     cells: dict[tuple[str, str], dict[int, int]]
     caption: str
 
+    def _rows(self) -> dict[str, dict[int, dict[int, int]]]:
+        # The nonzero cells inside the labels as {row label: {column position: cell}}.
+        pos: dict[str, list[int]] = {}
+        for j, c in enumerate(self.col_labels):
+            pos.setdefault(c, []).append(j)
+        rows: dict[str, dict[int, dict[int, int]]] = {r: {} for r in self.row_labels}
+        for (r, c), cell in self.cells.items():
+            if cell and r in rows:
+                for j in pos.get(c, ()):
+                    rows[r][j] = cell
+        return rows
+
     def to_json(self) -> str:
-        payload = {
-            "rows": list(self.row_labels),
-            "cols": list(self.col_labels),
-            "display_names": list(self.display_names),
-            "caption": self.caption,
-            "cells": {
-                f"{r},{c}": {str(i): n for i, n in sorted(cell.items())}
-                for (r, c), cell in sorted(self.cells.items())
-            },
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        # What json.dumps(sort_keys=True) writes for {"caption", "cells": {"r,c": {str(i): n}}, "cols",
+        # "display_names", "rows"}, with each distinct cell dumped once and the cells joined here.
+        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        enc = {id(cell): cell for cell in self.cells.values()}
+        enc = {k: dump({str(i): n for i, n in cell.items()}) for k, cell in enc.items()}
+        cells = {f"{r},{c}": enc[id(cell)] for (r, c), cell in self.cells.items()}
+        if len(cells) < len(self.cells):  # ("a,b", "c") and ("a", "b,c") print alike: the larger wins
+            cells = {f"{r},{c}": enc[id(self.cells[r, c])] for r, c in sorted(self.cells)}
+        body = ",".join([f"{json.encoder.encode_basestring_ascii(k)}:{cells[k]}" for k in sorted(cells)])
+        return (
+            f'{{"caption":{dump(self.caption)},"cells":{{{body}}},"cols":{dump(self.col_labels)},'
+            f'"display_names":{dump(self.display_names)},"rows":{dump(self.row_labels)}}}'
+        )
 
     def to_csv(self) -> str:
-        lines = ["row,col,i,dim"]
+        rows = self._rows()
+        tails = {id(cell): cell for row in rows.values() for cell in row.values()}
+        tails = {k: ["", *(f",{i},{n}" for i, n in sorted(cell.items()))] for k, cell in tails.items()}
+        out = ["row,col,i,dim"]
         for r in self.row_labels:
-            for c in self.col_labels:
-                cell = self.cells.get((r, c))
-                if cell:
-                    for i, n in sorted(cell.items()):
-                        lines.append(f"{r},{c},{i},{n}")
-        return "\n".join(lines) + "\n"
+            row = rows[r]
+            for j in sorted(row):  # "\nr,c" before each ",i,dim" of the cell
+                out.append(f"\n{r},{self.col_labels[j]}".join(tails[id(row[j])]))
+        return "".join(out) + "\n"
 
     def to_text(self) -> str:
-        def fmt_cell(cell: dict[int, int] | None) -> str:
-            if not cell:
-                return "."
-            return "{" + ",".join(f"{i}:{n}" for i, n in sorted(cell.items())) + "}"
-
-        rows = []
-        for r in self.row_labels:
-            rows.append([fmt_cell(self.cells.get((r, c))) for c in self.col_labels])
-        widths = [
-            max(len(self.col_labels[j]), max(len(row[j]) for row in rows))
-            for j in range(len(self.col_labels))
-        ]
+        rows = self._rows()
+        text = {id(cell): cell for row in rows.values() for cell in row.values()}
+        text = {k: "{" + ",".join(f"{i}:{n}" for i, n in sorted(cell.items())) + "}" for k, cell in text.items()}
+        widths = [max(len(c), 1) for c in self.col_labels]
+        for row in rows.values():
+            for j, cell in row.items():
+                if len(text[id(cell)]) > widths[j]:
+                    widths[j] = len(text[id(cell)])
         head_w = max((len(r) for r in self.row_labels), default=1)
-        out = [self.caption]
-        out.append(
-            " ".join([" " * head_w] + [self.col_labels[j].rjust(widths[j]) for j in range(len(widths))])
-        )
-        for r, row in zip(self.row_labels, rows):
-            out.append(" ".join([r.ljust(head_w)] + [row[j].rjust(widths[j]) for j in range(len(widths))]))
+        blank = [".".rjust(w) for w in widths]  # an empty row
+        out = [self.caption, " ".join([" " * head_w] + [c.rjust(w) for c, w in zip(self.col_labels, widths)])]
+        for r in self.row_labels:
+            line = blank.copy()
+            for j, cell in rows[r].items():
+                line[j] = text[id(cell)].rjust(widths[j])
+            out.append(" ".join([r.ljust(head_w), *line]))
         return "\n".join(out) + "\n"
 
 

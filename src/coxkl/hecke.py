@@ -219,15 +219,22 @@ class HeckeElt:
 
     def _fold(self, start: Raw, gen, bar: bool = False) -> HeckeElt:
         # The sum over the terms c H_x of self of start * gen(s_1)...gen(s_k) * c
-        # (bar(c) when bar is set), where s_1...s_k is the reduced word of x.
-        W = self.system
+        # (bar(c) when bar is set), where s_1...s_k is the ShortLex word of x.  The
+        # words are walked in lexicographic order, keeping the results of the
+        # current word's prefixes, so each prefix costs one _step.
+        W, words = self.system, self.system._words
         total: Raw = {}
-        for xi, p in self._r.items():
-            cur = start
-            for s in W._words[xi]:
-                cur = _step(W, cur, s, gen)
+        prev, path = (), [start]  # path[k]: start times the first k letters of prev
+        for xi in sorted(self._r, key=words.__getitem__):
+            word, k = words[xi], 0
+            while k < len(prev) and word[k] == prev[k]:  # word sorts after prev, so word[k] exists
+                k += 1
+            del path[k + 1:]
+            for s in word[k:]:
+                path.append(_step(W, path[-1], s, gen))
+            prev, p = word, self._r[xi]
             c = {-e: a for e, a in p.items()} if bar else p
-            for yi, poly in cur.items():
+            for yi, poly in path[-1].items():
                 _mac(total.setdefault(yi, {}), poly, c)
         return HeckeElt._wrap(W, total)
 

@@ -6,10 +6,12 @@ through explicit reflection matrices on a root system, Bruhat order through
 the subword property, and the KL basis through a brute-force linear solve
 against the bar matrix, and the local Lefschetz polynomial through long
 division.  Laurent polynomials are plain {exp: coeff} dicts with their own
-little helper functions.
+little helper functions.  The DimTable renderers are rechecked against their
+first, cell-by-cell bodies.
 """
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 # ---------------------------------------------------------------------------
@@ -279,3 +281,58 @@ def local_lefschetz_oracle(h, d):
     while k + 1 < len(dense) and dense[k] >= dense[k + 1]:
         k += 1
     return quotient, palindromic, nonneg and k == len(dense) - 1, nonneg
+
+
+# ---------------------------------------------------------------------------
+# DimTable renderers, one (row, column) lookup per cell
+# ---------------------------------------------------------------------------
+
+
+def dimtable_json(table) -> str:
+    payload = {
+        "rows": list(table.row_labels),
+        "cols": list(table.col_labels),
+        "display_names": list(table.display_names),
+        "caption": table.caption,
+        "cells": {
+            f"{r},{c}": {str(i): n for i, n in sorted(cell.items())}
+            for (r, c), cell in sorted(table.cells.items())
+        },
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def dimtable_csv(table) -> str:
+    lines = ["row,col,i,dim"]
+    for r in table.row_labels:
+        for c in table.col_labels:
+            cell = table.cells.get((r, c))
+            if cell:
+                for i, n in sorted(cell.items()):
+                    lines.append(f"{r},{c},{i},{n}")
+    return "\n".join(lines) + "\n"
+
+
+def dimtable_text(table) -> str:
+    """Raises ValueError on a table with no rows and some columns."""
+
+    def fmt_cell(cell):
+        if not cell:
+            return "."
+        return "{" + ",".join(f"{i}:{n}" for i, n in sorted(cell.items())) + "}"
+
+    rows = []
+    for r in table.row_labels:
+        rows.append([fmt_cell(table.cells.get((r, c))) for c in table.col_labels])
+    widths = [
+        max(len(table.col_labels[j]), max(len(row[j]) for row in rows))
+        for j in range(len(table.col_labels))
+    ]
+    head_w = max((len(r) for r in table.row_labels), default=1)
+    out = [table.caption]
+    out.append(
+        " ".join([" " * head_w] + [table.col_labels[j].rjust(widths[j]) for j in range(len(widths))])
+    )
+    for r, row in zip(table.row_labels, rows):
+        out.append(" ".join([r.ljust(head_w)] + [row[j].rjust(widths[j]) for j in range(len(widths))]))
+    return "\n".join(out) + "\n"

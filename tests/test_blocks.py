@@ -5,6 +5,7 @@ import json
 import pytest
 
 from coxkl.blocks import (
+    DimTable,
     andersen_dims,
     andersen_table,
     equivariant_hom_series,
@@ -13,7 +14,7 @@ from coxkl.blocks import (
 )
 from coxkl.coxeter import CoxeterError, CoxeterSystem
 
-from oracles import poly_ring_series
+from oracles import dimtable_csv, dimtable_json, dimtable_text, poly_ring_series
 
 
 def all_subsets(rank):
@@ -248,3 +249,66 @@ def test_dimtable_text_golden(system, algebra):
         "st      . {0:1} {1:1}",
         "sts     .     . {0:1}",
     ]
+
+
+def _renders(table):
+    # The three formats of the table and of the cell-by-cell oracle renderers.
+    return (table.to_text(), table.to_csv(), table.to_json()), (
+        dimtable_text(table), dimtable_csv(table), dimtable_json(table)
+    )
+
+
+@pytest.mark.parametrize("code", ["A1", "A2", "B2", "G2", "A3", "B3", "H3", "A4"])
+def test_renderers_match_the_oracle_on_every_block(code, system, algebra):
+    W, A = system(code), algebra(code)
+    for I in all_subsets(W.rank):
+        got, want = _renders(andersen_table(make_block(W, I), A))
+        assert got == want, I
+
+
+def _table(rows, cols, cells, caption="caption"):
+    return DimTable(tuple(rows), tuple(cols), tuple(f"lambda[{r}]" for r in rows), cells, caption)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        # an empty cell: "." in text, no csv line, {} in json
+        _table(["a", "b"], ["a", "b"], {("a", "a"): {0: 1}, ("a", "b"): {}, ("b", "b"): {0: 1}}),
+        # keys outside the labels, one wider than every cell inside them
+        _table(["a"], ["a"], {("a", "a"): {0: 1}, ("z", "a"): {0: 1, 2: 1, 4: 1}, ("a", "z"): {1: 2}}),
+        # row labels that differ from the column labels, one cell shared by two keys
+        _table(["r1", "r2", "r3"], ["c1", "c2"], {("r3", "c1"): {1: 1}, ("r1", "c2"): {0: 1, 2: 3}}),
+        # an empty row label and an empty column label
+        _table(["", "a"], ["", "a"], {("", ""): {0: 1}, ("", "a"): {1: 1}}),
+        _table(["a"], ["", "a"], {("a", "a"): {0: 1}}),
+        # a label wider than every cell, and multi-digit dimensions and degrees
+        _table(["a", "long_label"], ["long_label", "a"], {("a", "a"): {10: 123}, ("long_label", "a"): {3: -45}}),
+        # cells inserted out of row and column order
+        _table(["a", "b"], ["a", "b"], {("b", "b"): {0: 1}, ("a", "b"): {2: 1, 0: 5}, ("a", "a"): {0: 1}}),
+        # repeated labels
+        _table(["a", "a"], ["a", "b", "a"], {("a", "a"): {0: 1}, ("a", "b"): {1: 1}}),
+        # ("a,b", "c") and ("a", "b,c") share the json key "a,b,c"
+        _table(["a", "a,b"], ["c", "b,c"], {("a,b", "c"): {1: 1}, ("a", "b,c"): {2: 1}}),
+        # labels and a caption that json escapes: a quote, a backslash, non-ASCII
+        _table(['q"\\', "ü"], ['q"\\', "ü"], {('q"\\', "ü"): {1: 1}, ("ü", "ü"): {0: 1}}, 'say "ü"\\'),
+        _table(["a"], ["a"], {("a", "a"): {0: 1}}),  # 1x1
+        _table(["a"], ["a"], {}),  # 1x1 and empty
+        _table(["a", "b"], [], {("a", "x"): {0: 1}}),  # no columns
+        _table([], [], {}),  # no rows and no columns
+    ],
+)
+def test_renderers_match_the_oracle_on_hand_built_tables(table):
+    got, want = _renders(table)
+    assert got == want
+
+
+def test_renderers_on_a_table_with_no_rows():
+    # The oracle's text renderer takes max() over no rows and raises; the
+    # renderers give each column the width of its label, at least 1.
+    table = _table([], ["a", "", "bb"], {("x", "a"): {0: 1}})
+    with pytest.raises(ValueError):
+        dimtable_text(table)
+    assert table.to_text() == "caption\n  a   bb\n"
+    assert table.to_csv() == dimtable_csv(table) == "row,col,i,dim\n"
+    assert table.to_json() == dimtable_json(table)

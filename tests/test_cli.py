@@ -243,7 +243,9 @@ def test_cli_golden_grid():
     # Exit status, stdout byte count and SHA-256, and the full stderr of every
     # command in every format on B3 and on a B3 matrix file with the
     # generator names a, bb, c, plus usage errors; recorded from the CLI that
-    # wrote each format by hand in each command.
+    # wrote each format by hand in each command.  The last four, the A4
+    # regular table in each format and A5's I = {s1} table in text, were
+    # recorded from the cell-by-cell DimTable renderers (tests/oracles.py).
     golden = json.loads((DATA / "cli_golden.json").read_text())
     for head in (["--type", "B3"], ["--matrix", "matrix_a_bb_c.json"]):
         covered = {

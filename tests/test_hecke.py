@@ -15,7 +15,7 @@ from coxkl.hecke import CACHE_SCHEMA, HeckeAlgebra, HeckeElt, MalformedKL, _symm
 from coxkl.laurent import LaurentPoly
 from coxkl.lefschetz import ih_poincare, lefschetz_audit
 
-from oracles import kl_basis_bruteforce
+from oracles import _hecke_rmul_gen, kl_basis_bruteforce, padd, pbar, pmul
 
 v = LaurentPoly.monomial(1)
 one = LaurentPoly.one()
@@ -105,6 +105,49 @@ def test_bar_is_ring_homomorphism(code, system):
         b = HeckeElt(W, {rng.choice(els): LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)})})
         assert (a * b).bar() == a.bar() * b.bar()
         assert (a + b).bar() == a.bar() + b.bar()
+
+
+def _random_elt(W, rng):
+    # A few terms on random elements, each with a few random Laurent terms.
+    els = W.all_elements()
+    return {
+        rng.choice(els): {rng.randint(-3, 3): rng.choice([-2, -1, 1, 3]) for _ in range(rng.randint(1, 3))}
+        for _ in range(rng.randint(1, 8))
+    }
+
+
+def _oracle_fold(W, a, b, bar_h=False):
+    # sum over the terms c H_x of b of a * H_s1 ... H_sk * c, one oracle step per
+    # letter of x; with bar_h each letter multiplies by bar(H_s) = H_s + (v - v^-1).
+    out = {}
+    for x, c in b.items():
+        acc = a
+        for s in x.word:
+            nxt = _hecke_rmul_gen(W, acc, s)
+            if bar_h:
+                for z, p in acc.items():
+                    nxt[z] = padd(padd(nxt.get(z, {}), p, shift=1), p, factor=-1, shift=-1)
+            acc = nxt
+        for z, p in acc.items():
+            out[z] = padd(out.get(z, {}), pmul(p, pbar(c) if bar_h else c))
+    return {z: p for z, p in out.items() if p}
+
+
+def _elt(W, raw):
+    return HeckeElt(W, {x: LaurentPoly(p) for x, p in raw.items()})
+
+
+@pytest.mark.parametrize("code", ["B3", "H3"])
+def test_product_and_bar_match_the_oracle(code, system, algebra):
+    # Random supports leave gaps in the prefix tree of their words; the KL
+    # element of the longest element has every prefix.
+    W, rng = system(code), random.Random(19)
+    w0 = {x: p._c for x, p in algebra(code).kl_element(W.longest_element()).terms.items()}
+    pairs = [(_random_elt(W, rng), _random_elt(W, rng)) for _ in range(12)]
+    pairs += [(w0, _random_elt(W, rng)), (_random_elt(W, rng), w0)]
+    for a, b in pairs:
+        assert _elt(W, a) * _elt(W, b) == _elt(W, _oracle_fold(W, a, b))
+        assert _elt(W, b).bar() == _elt(W, _oracle_fold(W, {W.identity: {0: 1}}, b, bar_h=True))
 
 
 # -- KL basis -----------------------------------------------------------------
