@@ -31,7 +31,7 @@ from math import comb
 from typing import Iterable
 
 from .coxeter import Coset, CoxeterError, CoxeterSystem, Element
-from .hecke import HeckeAlgebra
+from .hecke import HeckeAlgebra, _same_system
 
 __all__ = [
     "BlockData",
@@ -93,12 +93,14 @@ def andersen_dims(
 ) -> dict[int, int]:
     """Graded dimensions {i: dim} of the filtration subquotients for a pair.
 
-    Equals {i: h^i_{y,x}} with y, x the longest coset representatives; the
-    map is empty when y is not below x in the Bruhat order.
+    Equals {i: h^i_{y,x}} with y, x the longest coset representatives, i
+    ascending; the map is empty when y is not below x in the Bruhat order.
+    A corrupt entry raises ``MalformedKL``.  The algebra may be over the
+    block's system or an equal one (same matrix and generator names).
     """
-    if algebra.system is not block.system:
+    if not _same_system(algebra.system, block.system):
         raise CoxeterError("algebra and block live over different systems")
-    return dict(algebra.h_poly(ybar.max_rep, xbar.max_rep).pairs())
+    return dict(sorted(algebra._entry(ybar.max_rep, xbar.max_rep).items()))
 
 
 def total_hom_dim(block: BlockData, algebra: HeckeAlgebra, ybar: Coset, xbar: Coset) -> int:
@@ -184,7 +186,7 @@ class DimTable:
 
 def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
     """The full graded dimension table, read off one KL row per column."""
-    if algebra.system is not block.system:
+    if not _same_system(algebra.system, block.system):
         raise CoxeterError("algebra and block live over different systems")
     labels = tuple(block.label(c) for c in block.cosets)
     names = tuple(block.weight_name(c) for c in block.cosets)

@@ -64,7 +64,7 @@ def _build_system(args: argparse.Namespace) -> CoxeterSystem:
     if args.matrix_file:
         try:
             return CoxeterSystem.from_json_file(args.matrix_file)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read matrix file {args.matrix_file}: {exc}")
     raise UsageError("one of --type or --matrix is required")
 

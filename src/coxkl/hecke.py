@@ -41,9 +41,10 @@ returns to read is a copy.
 
 A valid h_{y,x}, y < x, fixes its class (d, h), d = l(x) - l(y): P_{y,x}(0)
 = 1 puts coefficient 1 at v^d and every other exponent lies below d, so
-d = max(h).  A polynomial's class is tested once, when it joins the pool,
-and every row, computed, read through a symmetry (below) or loaded, passes
-``_check_row`` at one comparison per entry.
+d = max(h); no coefficient is zero.  A polynomial's class is tested once,
+when it joins the pool, and every row, computed, read through a symmetry
+(below) or loaded, passes ``_check_row`` at one comparison per entry.  A
+single entry is read only through ``_entry``, which checks it the same way.
 
 The table is invariant under a small group G of symmetries of W:
 h_{y,x} = h_{y^-1,x^-1} (from the anti-involution H_w -> H_{w^-1}) and
@@ -254,25 +255,21 @@ class HeckeElt:
         return "HeckeElt(" + " + ".join(bits) + ")"
 
 
-def _h_name(W: CoxeterSystem, yi: int, xi: int) -> str:
-    return f"h({W.format_element(W._el(yi))}, {W.format_element(W._el(xi))})"
-
-
 def _kl_class(h: Mapping[int, int], d: int) -> bool:
-    # Whether h can be h_{y,x}, y < x, d = l(x) - l(y): exponents i with 1 <= i <= d, i = d mod 2,
-    # and P_{y,x}(0) = 1, the coefficient of v^d (Kazhdan-Lusztig 1979).  No h passes for d <= 0.
-    return h.get(d) == 1 and h.keys() <= set(range(d, 0, -2))
+    # Whether h can be h_{y,x}, y < x, d = l(x) - l(y): exponents i with 1 <= i <= d, i = d mod 2, no zero
+    # coefficient (_acc drops them), and P_{y,x}(0) = 1, the coefficient of v^d (KL 1979).  None for d <= 0.
+    return h.get(d) == 1 and h.keys() <= set(range(d, 0, -2)) and 0 not in h.values()
 
 
 def _saved_entry(pairs) -> dict[int, int]:
-    # A cache entry that is not in the pool, from its saved [[exp, coeff], ...].
-    # A pair that is not two ints raises TypeError or ValueError, as for a file
-    # save_cache never writes; a zero coefficient or a repeated exponent is MalformedKL.
+    # A cache entry that is not in the pool, parsed from its saved [[exp, coeff], ...]; _kl_class
+    # judges it when pooled.  A pair that is not two ints raises TypeError or ValueError, as for a
+    # file save_cache never writes; an exponent listed twice is MalformedKL.
     h = dict(pairs)
     if not all(type(e) is int and type(c) is int for e, c in h.items()):
         raise TypeError(f"cache entry {pairs!r} is not a list of int pairs")
-    if len(h) != len(pairs) or 0 in h.values():
-        raise MalformedKL(f"cache entry {pairs!r} has a zero coefficient or an exponent twice")
+    if len(h) != len(pairs):
+        raise MalformedKL(f"cache entry {pairs!r} lists an exponent twice")
     return h
 
 
@@ -345,11 +342,13 @@ class HeckeAlgebra:
         lengths, lx = W._lengths, W._lengths[xi]
         for yi, i in row.items():
             if deg[i] != lx - lengths[yi] and yi != xi:
-                raise MalformedKL(f"{_h_name(W, yi, xi)} breaks v*Z[v], the length bound, parity or P(0) = 1")
+                h = f"h({W.format_element(W._el(yi))}, {W.format_element(W._el(xi))})"
+                raise MalformedKL(f"{h} has a zero coefficient or breaks v*Z[v], the length bound, parity or P(0) = 1")
 
-    def _entry(self, yi: int, xi: int) -> Mapping[int, int]:
-        # h_{y,x} from the row of x, {} when y is not in it.  An entry present
-        # is refused as _check_row refuses it in a row.
+    def _entry(self, y: Element, x: Element) -> Mapping[int, int]:
+        # The one reader of a single h_{y,x}: its pooled dict, which callers copy, or {}
+        # when y is not in the row of x.  An entry present is refused as _check_row would.
+        yi, xi = self.system._id(y), self.system._id(x)
         i = self._kl_raw(xi).get(yi)
         if i is None:
             return {}
@@ -428,20 +427,17 @@ class HeckeAlgebra:
             self._kl_raw(xi)
 
     def h_poly(self, y: Element, x: Element) -> LaurentPoly:
-        """h_{y,x}(v): the H_y-coefficient of uH(x); zero unless y <= x."""
-        W = self.system
-        yi, xi = W._id(y), W._id(x)
-        i = self._kl_raw(xi).get(yi)
-        return LaurentPoly.zero() if i is None else LaurentPoly._raw(dict(self._polys[i]))
+        """h_{y,x}(v), a copy: the H_y-coefficient of uH(x), zero unless y <= x; MalformedKL if corrupt."""
+        return LaurentPoly._raw(dict(self._entry(y, x)))
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
         """P_{y,x}(q), from h_{y,x}(v) = v^(l(x)-l(y)) P_{y,x}(v^-2)."""
-        W, xi, d = self.system, self.system._id(x), x.length - y.length
-        return LaurentPoly({(d - i) // 2: c for i, c in self._entry(W._id(y), xi).items()})
+        d = x.length - y.length
+        return LaurentPoly({(d - i) // 2: c for i, c in self._entry(y, x).items()})
 
     def mu(self, y: Element, x: Element) -> int:
-        """The coefficient of v in h_{y,x}: the Kazhdan-Lusztig mu(y, x), 0 unless y < x."""
-        return self.h_poly(y, x).coeff(1)
+        """The coefficient of v in h_{y,x}: the KL mu(y, x), 0 unless y < x; MalformedKL if corrupt."""
+        return self._entry(y, x).get(1, 0)
 
     # -- basis conversion -------------------------------------------------
 
@@ -509,9 +505,9 @@ class HeckeAlgebra:
         fingerprint and ids outside 0..order-1 return False: stale caches are
         ignored, never migrated, and so are exponents and coefficients that
         are not ints (a float, string or boolean).  A row failing the check of
-        computed rows (``_check_row``, P_{y,x}(0) = 1 included), whose y are
-        not exactly the Bruhat interval [e, x] or that lists a y twice, a row
-        listed twice, and an entry with a zero coefficient or an exponent twice
+        computed rows (``_check_row``: P_{y,x}(0) = 1 and no zero coefficient
+        included), whose y are not exactly the Bruhat interval [e, x] or that
+        lists a y twice, a row listed twice, and an entry with an exponent twice
         raise ``MalformedKL`` before anything is stored.  [e, x] is built from
         the row of u = sx when the file or the memo holds it, else by
         ``CoxeterSystem._interval``.  Loaded entries are pooled like computed

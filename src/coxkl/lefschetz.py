@@ -180,8 +180,8 @@ def _row(algebra: HeckeAlgebra, xi: int, table: dict):
 
 def local_lefschetz_poly(algebra: HeckeAlgebra, y: Element, x: Element) -> LefschetzReport:
     """Build the local Lefschetz polynomial and its three property verdicts."""
-    W, d, xi = algebra.system, x.length - y.length, algebra.system._id(x)
-    h = algebra._entry(W._id(y), xi)
+    W, d = algebra.system, x.length - y.length
+    h = algebra._entry(y, x)
     return LefschetzReport(y, x, W.format_element(y), W.format_element(x), d, *_local(h, d))
 
 

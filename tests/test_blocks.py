@@ -13,6 +13,7 @@ from coxkl.blocks import (
     total_hom_dim,
 )
 from coxkl.coxeter import CoxeterError, CoxeterSystem
+from coxkl.hecke import HeckeAlgebra
 
 from oracles import dimtable_csv, dimtable_json, dimtable_text, poly_ring_series
 
@@ -140,10 +141,23 @@ def test_andersen_table_invariants(code, system, algebra):
 
 def test_tables_reject_an_algebra_over_another_system(system, algebra):
     block = make_block(system("A2"), [0])
-    with pytest.raises(CoxeterError):
-        andersen_table(block, algebra("B2"))
-    with pytest.raises(CoxeterError):
-        andersen_dims(block, algebra("B2"), block.cosets[0], block.cosets[-1])
+    y, x = block.cosets[0], block.cosets[-1]
+    # An algebra over an equal system (same matrix and names) reads the same table.
+    equal = HeckeAlgebra(CoxeterSystem.from_type("A2"))
+    assert equal.system is not block.system
+    ours, theirs = andersen_table(block, algebra("A2")), andersen_table(block, equal)
+    for fmt in ("to_text", "to_csv", "to_json"):
+        assert getattr(theirs, fmt)() == getattr(ours, fmt)()
+    for yc in block.cosets:
+        for xc in block.cosets:
+            assert andersen_dims(block, equal, yc, xc) == andersen_dims(block, algebra("A2"), yc, xc)
+    # Other generator names or another matrix are another system.
+    renamed = HeckeAlgebra(CoxeterSystem(system("A2").coxeter_matrix, ["a", "b"]))
+    for other in (renamed, algebra("B2")):
+        with pytest.raises(CoxeterError):
+            andersen_table(block, other)
+        with pytest.raises(CoxeterError):
+            andersen_dims(block, other, y, x)
 
 
 def test_singular_consistent_with_regular(system, algebra):

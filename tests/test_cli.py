@@ -272,8 +272,8 @@ def test_matrix_file_input(tmp_path):
 
 
 def test_malformed_matrix_file_is_usage_error(tmp_path):
-    # Matrix and names of the wrong shape exit 1 with a usage error, not a
-    # traceback.
+    # Matrix and names of the wrong shape, and a file that is not UTF-8, exit
+    # 1 with a usage error, not a traceback.
     for data in (
         {"rank": 2, "matrix": [5, 6]},
         {"rank": 2, "matrix": 5},
@@ -283,9 +283,10 @@ def test_malformed_matrix_file_is_usage_error(tmp_path):
         {"rank": "2", "matrix": [[1, 3], [3, 1]]},
         {"rank": 2.0, "matrix": [[1, 3], [3, 1]]},
         {"rank": True, "matrix": [[1]]},
+        b"\xff" + json.dumps({"rank": 1, "matrix": [[1]]}).encode(),
     ):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(data))
+        path.write_bytes(data if isinstance(data, bytes) else json.dumps(data).encode())
         proc = subprocess.run(
             [sys.executable, "-m", "coxkl", "--matrix", str(path), "--cmd", "ih", "--x", "e"],
             capture_output=True,

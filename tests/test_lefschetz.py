@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coxkl import lefschetz
+from coxkl.blocks import andersen_dims, equivariant_hom_series, make_block, total_hom_dim
 from coxkl.coxeter import CoxeterSystem
 from coxkl.hecke import HeckeAlgebra, MalformedKL
 from coxkl.laurent import LaurentPoly
@@ -200,6 +201,7 @@ def test_audit_flags_a_non_palindromic_ih_series(system):
         ("st", "ts", "h_xx"),  # y of length l(x) sharing the pool index of x's h_{x,x}
         ("st", "e", {2: 5}),  # degree and parity fit, but P_{e,st}(0) = 5
         ("st", "e", "h_es"),  # the pooled h_{e,s} = v, verified at d = 1 only
+        ("sts", "e", {1: 0, 3: 1}),  # a zero coefficient: a stored entry has none
     ],
 )
 def test_audit_and_ih_refuse_what_check_row_refuses(system, x, y, h):
@@ -223,11 +225,21 @@ def test_audit_and_ih_refuse_what_check_row_refuses(system, x, y, h):
         lefschetz_audit(A)
     with pytest.raises(MalformedKL):
         ih_poincare(A, W.parse_element(x))
-    # The readers of the single entry refuse it too.
-    with pytest.raises(MalformedKL):
-        local_lefschetz_poly(A, W.parse_element(y), W.parse_element(x))
-    with pytest.raises(MalformedKL):
-        A.kl_polynomial(W.parse_element(y), W.parse_element(x))
+    # The readers of the single entry refuse it too, also through a block.
+    ye, xe = W.parse_element(y), W.parse_element(x)
+    block = make_block(W, ())
+    yc, xc = block.coset_of(ye), block.coset_of(xe)
+    for read in (
+        lambda: local_lefschetz_poly(A, ye, xe),
+        lambda: A.kl_polynomial(ye, xe),
+        lambda: A.h_poly(ye, xe),
+        lambda: A.mu(ye, xe),
+        lambda: andersen_dims(block, A, yc, xc),
+        lambda: total_hom_dim(block, A, yc, xc),
+        lambda: equivariant_hom_series(block, A, yc, xc, 6),
+    ):
+        with pytest.raises(MalformedKL):
+            read()
 
 
 @pytest.mark.parametrize(
