@@ -17,6 +17,11 @@ The two deliverables are
   obtained by convolving those coefficients with the Hilbert series of a
   polynomial ring whose generators sit in degree 2.
 
+On a warm KL table both cost what the block needs, not what W needs.
+``andersen_table`` spends min(|row of x|, number of cosets up to x) steps
+on the column of x, and ``equivariant_hom_series`` |dims| * n_max / 2
+steps, one incremental binomial each.
+
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A2")
 >>> andersen_table(make_block(W, [W.generator_index("t")]), HeckeAlgebra(W)).to_csv().split()
@@ -27,7 +32,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
+from itertools import islice
 from typing import Iterable
 
 from .coxeter import Coset, CoxeterError, CoxeterSystem, Element
@@ -48,8 +53,9 @@ __all__ = [
 class BlockData:
     """A singular block: ambient system, parabolic subset and its cosets.
 
-    ``cosets`` is sorted by (length, word) of the maximal representatives,
-    which fixes the row/column order of every table built from the block.
+    ``cosets`` is sorted by the id of the maximal representatives, which is
+    their (length, word) order; it fixes the row/column order of every table
+    built from the block.
     """
 
     system: CoxeterSystem
@@ -59,9 +65,10 @@ class BlockData:
     cosets: tuple[Coset, ...]
 
     def coset_of(self, a: Element) -> Coset:
-        """The coset a*W_I containing a, found by bisecting on its max rep."""
-        key = self.system.coset_max_rep(self.parabolic, a).sort_key
-        return self.cosets[bisect_left(self.cosets, key, key=lambda c: c.max_rep.sort_key)]
+        """The coset a*W_I containing a, found by bisecting on its max rep's id."""
+        W = self.system
+        key = W._id(W.coset_max_rep(self.parabolic, a))
+        return self.cosets[bisect_left(self.cosets, key, key=lambda c: W._id(c.max_rep))]
 
     def label(self, c: Coset) -> str:
         """Canonical coset label: the word of the longest representative."""
@@ -84,7 +91,7 @@ def make_block(system: CoxeterSystem, parabolic: Iterable[int]) -> BlockData:
         parabolic=I,
         w_long=system.longest_element(),
         w_iota=system.longest_element(I),
-        cosets=tuple(sorted(system.cosets(I), key=lambda c: c.max_rep.sort_key)),
+        cosets=tuple(sorted(system.cosets(I), key=lambda c: system._id(c.max_rep))),
     )
 
 
@@ -185,22 +192,40 @@ class DimTable:
 
 
 def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
-    """The full graded dimension table, read off one KL row per column."""
+    """The full graded dimension table, read off one KL row per column.
+
+    Every y <= x has a smaller id than x, so with the max reps sorted by id
+    the column at position k meets only the first k + 1 of them: it walks
+    the KL row of x when the row has at most k + 1 entries, and otherwise
+    looks those k + 1 ids up in it.
+    """
     if not _same_system(algebra.system, block.system):
         raise CoxeterError("algebra and block live over different systems")
     labels = tuple(block.label(c) for c in block.cosets)
     names = tuple(block.weight_name(c) for c in block.cosets)
-    label_of = {block.system._id(c.max_rep): lab for c, lab in zip(block.cosets, labels)}
+    reps = sorted((block.system._id(c.max_rep), lab) for c, lab in zip(block.cosets, labels))
+    label_of = dict(reps)
     cells: dict[tuple[str, str], dict[int, int]] = {}
     copies: dict[int, dict[int, int]] = {}  # one copy per pool index
-    for xi, xlab in label_of.items():
-        for yi, i in algebra._kl_raw(xi).items():
-            ylab = label_of.get(yi)
-            if ylab is not None:
-                cell = copies.get(i)
-                if cell is None:
-                    cell = copies[i] = dict(sorted(algebra._polys[i].items()))
-                cells[(ylab, xlab)] = cell
+    polys = algebra._polys
+    for k, (xi, xlab) in enumerate(reps):
+        row = algebra._kl_raw(xi)
+        if len(row) <= k + 1:
+            for yi, i in row.items():
+                ylab = label_of.get(yi)
+                if ylab is not None:
+                    cell = copies.get(i)
+                    if cell is None:
+                        cell = copies[i] = dict(sorted(polys[i].items()))
+                    cells[(ylab, xlab)] = cell
+        else:
+            for yi, ylab in islice(reps, k + 1):
+                i = row.get(yi)
+                if i is not None:
+                    cell = copies.get(i)
+                    if cell is None:
+                        cell = copies[i] = dict(sorted(polys[i].items()))
+                    cells[(ylab, xlab)] = cell
     caption = (
         "graded dims of Hom(Delta(lambda[row]), K(lambda[col])); "
         "lambda[x] = w_long.x.lambda for the coset with longest representative x"
@@ -212,13 +237,6 @@ def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
         cells=cells,
         caption=caption,
     )
-
-
-def _poly_ring_dim(rank: int, degree: int) -> int:
-    # Monomial count in `rank` generators of degree 2 at the given degree.
-    if degree < 0 or degree % 2:
-        return 0
-    return comb(degree // 2 + rank - 1, rank - 1)
 
 
 def equivariant_hom_series(
@@ -242,5 +260,11 @@ def equivariant_hom_series(
         raise ValueError(f"rank must be >= 1, got {rank}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    dims = andersen_dims(block, algebra, ybar, xbar)
-    return [sum(c * _poly_ring_dim(rank, n - i) for i, c in dims.items()) for n in range(n_max + 1)]
+    out = [0] * (n_max + 1)
+    for i, c in andersen_dims(block, algebra, ybar, xbar).items():
+        # c * M(rank, 2j) at n = i + 2j, with M(r, 2j + 2) = M(r, 2j) * (j + r) / (j + 1) exactly.
+        m = c
+        for j, n in enumerate(range(i, n_max + 1, 2)):
+            out[n] += m
+            m = m * (j + rank) // (j + 1)
+    return out

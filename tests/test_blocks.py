@@ -5,6 +5,7 @@ import json
 import pytest
 
 from coxkl.blocks import (
+    BlockData,
     DimTable,
     andersen_dims,
     andersen_table,
@@ -114,7 +115,7 @@ def test_andersen_table_a1(system, algebra):
     }
 
 
-@pytest.mark.parametrize("code", ["A3", "B2", "H3"])
+@pytest.mark.parametrize("code", ["A3", "B2", "H3", "B3", "A4"])
 def test_andersen_table_invariants(code, system, algebra):
     W, A = system(code), algebra(code)
     for I in all_subsets(W.rank):
@@ -137,6 +138,19 @@ def test_andersen_table_invariants(code, system, algebra):
         for c in block.cosets:
             lab = block.label(c)
             assert table.cells[(lab, lab)] == {0: 1}
+
+
+def test_andersen_table_does_not_depend_on_coset_order(system, algebra):
+    # The table finds the cosets below a column by max-rep id, not by their
+    # position in block.cosets, so a hand-built block in reverse order reads
+    # the same cells.
+    W, A = system("A3"), algebra("A3")
+    for I in all_subsets(W.rank):
+        block = make_block(W, I)
+        reverse = BlockData(block.system, block.parabolic, block.w_long, block.w_iota, block.cosets[::-1])
+        table, table_rev = andersen_table(block, A), andersen_table(reverse, A)
+        assert table_rev.row_labels == table.row_labels[::-1]
+        assert table_rev.cells == table.cells, I
 
 
 def test_tables_reject_an_algebra_over_another_system(system, algebra):
@@ -200,18 +214,19 @@ def test_equivariant_default_rank(system, algebra):
 
 def test_equivariant_convolution_crosscheck(system, algebra):
     W, A = system("A3"), algebra("A3")
+    # n_max = 0 and 3 leave terms above n_max; 3 is odd.
     for I in ([], [1], [0, 2]):
         block = make_block(W, I)
-        for rank in (1, 2, 3):
-            series = poly_ring_series(rank, 12)
+        for n_max, rank in itertools.product((0, 3, 12), (1, 2, 3, 5)):
+            series = poly_ring_series(rank, n_max)
             for yc in block.cosets:
                 for xc in block.cosets:
                     dims = andersen_dims(block, A, yc, xc)
                     expect = [
                         sum(c * (series[n - i] if 0 <= n - i else 0) for i, c in dims.items())
-                        for n in range(13)
+                        for n in range(n_max + 1)
                     ]
-                    got = equivariant_hom_series(block, A, yc, xc, 12, rank)
+                    got = equivariant_hom_series(block, A, yc, xc, n_max, rank)
                     assert got == expect
 
 
