@@ -17,10 +17,12 @@ The two deliverables are
   obtained by convolving those coefficients with the Hilbert series of a
   polynomial ring whose generators sit in degree 2.
 
-On a warm KL table both cost what the block needs, not what W needs.
-``andersen_table`` spends min(|row of x|, number of cosets up to x) steps
-on the column of x, and ``equivariant_hom_series`` |dims| * n_max / 2
-steps, one incremental binomial each.
+``make_block`` costs one step per element of W and a sort of the cosets by
+the ids of their max reps.  On a warm KL table the two deliverables cost
+what the block needs, not what W needs.  ``andersen_table`` spends
+min(|row of x|, number of cosets up to x) steps on the column of x, and
+``equivariant_hom_series`` |dims| * n_max / 2 steps, one incremental
+binomial each.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A2")
@@ -65,10 +67,14 @@ class BlockData:
     cosets: tuple[Coset, ...]
 
     def coset_of(self, a: Element) -> Coset:
-        """The coset a*W_I containing a, found by bisecting on its max rep's id."""
+        """The coset a*W_I containing a, found by bisecting on its max rep's id;
+        ``CoxeterError`` if ``cosets`` lacks it at its place in that order."""
         W = self.system
-        key = W._id(W.coset_max_rep(self.parabolic, a))
-        return self.cosets[bisect_left(self.cosets, key, key=lambda c: W._id(c.max_rep))]
+        top = W.coset_max_rep(self.parabolic, a)
+        k = bisect_left(self.cosets, W._id(top), key=lambda c: W._id(c.max_rep))
+        if k == len(self.cosets) or self.cosets[k].max_rep != top:
+            raise CoxeterError(f"the block lists no coset with max rep {W.format_element(top)} in max-rep order")
+        return self.cosets[k]
 
     def label(self, c: Coset) -> str:
         """Canonical coset label: the word of the longest representative."""
@@ -80,19 +86,17 @@ class BlockData:
         Reads as "w_long * xbar * lambda" acted through the dot action; only
         the coset label varies, no coordinates are involved.
         """
-        return f"lambda[{self.label(c)}]"
+        return _weight_name(self.label(c))
+
+
+_weight_name = "lambda[{}]".format
 
 
 def make_block(system: CoxeterSystem, parabolic: Iterable[int]) -> BlockData:
     """Assemble the block datum for (W, I)."""
-    I = tuple(sorted(set(parabolic)))
-    return BlockData(
-        system=system,
-        parabolic=I,
-        w_long=system.longest_element(),
-        w_iota=system.longest_element(I),
-        cosets=tuple(sorted(system.cosets(I), key=lambda c: system._id(c.max_rep))),
-    )
+    I = system._check_subset(parabolic)
+    w_long, w_iota = system.longest_element(), system.longest_element(I)
+    return BlockData(system, I, w_long, w_iota, system._cosets(I, by_max_rep=True))
 
 
 def andersen_dims(
@@ -202,7 +206,7 @@ def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
     if not _same_system(algebra.system, block.system):
         raise CoxeterError("algebra and block live over different systems")
     labels = tuple(block.label(c) for c in block.cosets)
-    names = tuple(block.weight_name(c) for c in block.cosets)
+    names = tuple(map(_weight_name, labels))
     reps = sorted((block.system._id(c.max_rep), lab) for c, lab in zip(block.cosets, labels))
     label_of = dict(reps)
     cells: dict[tuple[str, str], dict[int, int]] = {}
@@ -230,13 +234,7 @@ def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
         "graded dims of Hom(Delta(lambda[row]), K(lambda[col])); "
         "lambda[x] = w_long.x.lambda for the coset with longest representative x"
     )
-    return DimTable(
-        row_labels=labels,
-        col_labels=labels,
-        display_names=names,
-        cells=cells,
-        caption=caption,
-    )
+    return DimTable(row_labels=labels, col_labels=labels, display_names=names, cells=cells, caption=caption)
 
 
 def equivariant_hom_series(

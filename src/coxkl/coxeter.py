@@ -5,9 +5,9 @@ A system is built from a Coxeter matrix (diagonal 1, off-diagonal entries in
 {2,3,4,5,6}).  Construction enumerates the whole group as the orbit of one
 regular weight rho (coordinate 1 against each simple coroot): W acts simply
 transitively on that orbit, so the n-vector x^{-1}(rho) names x.  A
-breadth-first search over right multiplication by generators records
-multiplication-by-generator tables, lengths and inverses, so that every later
-operation is table lookup; descent sets are read off those tables.
+breadth-first search over right multiplication by generators, one reflection
+per edge {x, xs}, records multiplication-by-generator tables, lengths,
+inverses and printed labels, so that every later operation is table lookup.
 Bruhat intervals come from one subword recursion (W_I is [e, w_I]), and a
 system holds no state that changes after construction.
 Elements are identified with their ShortLex-least reduced word under the
@@ -321,9 +321,7 @@ class CoxeterSystem:
                     if m != 1:
                         raise CoxeterError(f"diagonal entry m({i},{i}) must be 1, got {m}")
                 elif m not in (2, 3, 4, 5, 6):
-                    raise CoxeterError(
-                        f"off-diagonal entry m({i},{j}) must lie in 2..6, got {m}"
-                    )
+                    raise CoxeterError(f"off-diagonal entry m({i},{j}) must lie in 2..6, got {m}")
                 elif rows[j][i] != m:
                     raise CoxeterError(f"matrix is not symmetric at ({i},{j})")
         return rows
@@ -346,50 +344,45 @@ class CoxeterSystem:
         if len(set(out)) != rank:
             raise CoxeterError("generator names must be distinct")
         if not _uniquely_decodable(out):
-            raise CoxeterError(
-                f"generator names {out!r} are ambiguous when concatenated into words"
-            )
+            raise CoxeterError(f"generator names {out!r} are ambiguous when concatenated into words")
         return out
 
     def _enumerate(self) -> None:
+        """List W by a breadth-first search over right multiplication: every
+        shorter element is handled before x, so x reflects only in its slots
+        right[x][s] still open, its ascents, and fills both ends of each edge
+        {x, xs}.  A new element's word and label are its parent's plus s."""
         n = self.rank
         # Cartan-style pairing a[s][t] as (int, phi) pairs: a_ss = 2 and for a
         # bond of label m the two directed entries multiply to 4cos^2(pi/m).
         # Asymmetric integer choices are fine on forest diagrams; label 5
         # needs the golden ratio on both sides.
         pair_for = {3: ((-1, 0), (-1, 0)), 4: ((-1, 0), (-2, 0)), 5: ((0, -1), (0, -1)), 6: ((-1, 0), (-3, 0))}
-        updates: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for s in range(n):
-            updates[s].append((s, 2, 0))
-            for t in range(n):
-                m = self._matrix[s][t]
-                if s != t and m >= 3:
-                    a = pair_for[m][0] if s < t else pair_for[m][1]
-                    updates[s].append((t, a[0], a[1]))
+        m = self._matrix
+        updates = [
+            [(2 * s, 2, 0)] + [(2 * t, *pair_for[m[s][t]][s > t]) for t in range(n) if t != s and m[s][t] >= 3]
+            for s in range(n)
+        ]
 
         # x is stored as the weight mu = x^{-1}(rho) in fundamental-weight
         # coordinates, with rho = 1 against every simple coroot.  rho is
         # regular, so W acts simply transitively on its orbit and mu names x.
-        # (xs)^{-1}(rho) = s(mu), and the reflection s does mu_t -= mu_s * a_st.
-        def apply_right(mu: tuple[int, ...], s: int) -> tuple[int, ...]:
-            out = list(mu)
-            xa, xb = mu[2 * s], mu[2 * s + 1]
-            for t, ca, cb in updates[s]:
-                out[2 * t] -= ca * xa + cb * xb
-                out[2 * t + 1] -= ca * xb + cb * xa + cb * xb
-            return tuple(out)
-
+        # (xs)^{-1}(rho) = s(mu), and the reflection s does mu_t -= mu_s * a_st,
+        # with coordinate t at positions 2t (integer part) and 2t + 1 (phi part).
         rho = (1, 0) * n
         index: dict[tuple[int, ...], int] = {rho: 0}
-        weights = [rho]
-        words: list[tuple[int, ...]] = [()]
-        right: list[list[int]] = []
-        e = 0
+        weights, words, labels, right = [rho], [()], [""], [[-1] * n]
+        names, e = self.generator_names, 0
         while e < len(weights):
-            row = [0] * n
-            mu = weights[e]
+            row, mu = right[e], weights[e]
             for s in range(n):
-                img = apply_right(mu, s)
+                if row[s] >= 0:
+                    continue  # a descent: filled when xs was handled
+                out, xa, xb = list(mu), mu[2 * s], mu[2 * s + 1]
+                for t, ca, cb in updates[s]:
+                    out[t] -= ca * xa + cb * xb
+                    out[t + 1] -= ca * xb + cb * (xa + xb)
+                img = tuple(out)
                 i = index.get(img)
                 if i is None:
                     i = len(weights)
@@ -398,28 +391,25 @@ class CoxeterSystem:
                     index[img] = i
                     weights.append(img)
                     words.append(words[e] + (s,))
-                row[s] = i
-            right.append(row)
+                    labels.append(labels[e] + names[s])
+                    right.append([-1] * n)
+                row[s], right[i][s] = i, e
             e += 1
+        labels[0] = "e"
 
-        order = len(weights)
-        self._words = words
+        self._words, self._labels, self._right = words, labels, right
         self._lengths = [len(w) for w in words]
-        self._right = right
         self._elements = tuple(Element(w) for w in words)
         self._index_by_word = {w: i for i, w in enumerate(words)}
-
-        # Inverses: the reversed word of x spells x^{-1}.
-        inv = [0] * order
-        for i, w in enumerate(words):
-            j = 0
-            for s in reversed(w):
-                j = right[j][s]
-            inv[i] = j
-        self._inv = inv
-
-        # Left table via (s x)^{-1} = x^{-1} s.
-        self._left = [[inv[right[inv[i]][s]] for s in range(n)] for i in range(order)]
+        # x = us with s the last letter of x's word, and u = xs precedes x, so
+        # tx = (tu)s and x^{-1} = s u^{-1}, where u^{-1} also precedes x.
+        left, inv = [right[0][:]], [0]
+        for i in range(1, len(words)):
+            s = words[i][-1]
+            u = right[i][s]
+            left.append([right[j][s] for j in left[u]])
+            inv.append(left[inv[u]][s])
+        self._left, self._inv = left, inv
 
     # -- alternate constructors -----------------------------------------
 
@@ -538,10 +528,7 @@ class CoxeterSystem:
 
     def format_element(self, el: Element) -> str:
         """Inverse of :meth:`parse_element` on canonical elements."""
-        self._id(el)
-        if not el.word:
-            return "e"
-        return "".join(self.generator_names[s] for s in el.word)
+        return self._labels[self._id(el)]
 
     # -- group operations --------------------------------------------------
 
@@ -659,18 +646,31 @@ class CoxeterSystem:
         I = self._check_subset(I)
         return self.multiply(self.coset_max_rep(I, a), self.longest_element(I))
 
-    def cosets(self, I: Iterable[int]) -> tuple[Coset, ...]:
-        """Partition of the group into cosets a*W_I, sorted by minimal rep."""
-        I = self._check_subset(I)
-        # Keyed by max rep; ids ascend in (length, word) order, so m[0] is the min rep.
-        groups: dict[int, list[int]] = {}
+    def _cosets(self, I: tuple[int, ...], by_max_rep: bool = False) -> tuple[Coset, ...]:
+        # An element with a right descent s in I joins the coset of its product
+        # with s, which has a smaller id; one with none is a min rep and starts
+        # a coset.  So the cosets come in min-rep id order, each listing its
+        # ids in (length, word) order, min rep first and max rep last.
+        right, parts, part_of = self._right, [], []
         for i in range(self.order):
-            groups.setdefault(self._ascend(i, I), []).append(i)
+            for s in I:
+                if right[i][s] < i:
+                    part = part_of[right[i][s]]
+                    break
+            else:
+                parts.append(part := [])
+            part.append(i)
+            part_of.append(part)
+        if by_max_rep:
+            parts.sort(key=lambda ids: ids[-1])
         els = self._elements
-        return tuple(
-            Coset(min_rep=els[m[0]], max_rep=els[m[-1]], elements=tuple(els[j] for j in m))
-            for m in groups.values()
-        )
+        return tuple(Coset(els[m[0]], els[m[-1]], tuple(map(els.__getitem__, m))) for m in parts)
+
+    def cosets(self, I: Iterable[int]) -> tuple[Coset, ...]:
+        """Partition of the group into cosets a*W_I, sorted by minimal rep, in
+        one step per element: an element a with a right descent s in I lies in
+        the coset of as, and one with none is the min rep of a new coset."""
+        return self._cosets(self._check_subset(I))
 
     def balanced_poincare(self, I: Iterable[int]) -> LaurentPoly:
         """Sum of v^(l(w_I) - 2 l(z)) over z in W_I; bar-invariant by symmetry."""

@@ -3,11 +3,11 @@ Independent oracles used by the test suite.
 
 Nothing here calls the code paths under test: group arithmetic is rechecked
 through explicit reflection matrices on a root system, Bruhat order through
-the subword property, and the KL basis through a brute-force linear solve
-against the bar matrix, and the local Lefschetz polynomial through long
-division.  Laurent polynomials are plain {exp: coeff} dicts with their own
-little helper functions.  The DimTable renderers are rechecked against their
-first, cell-by-cell bodies.
+the subword property, the KL basis and its parabolic analogue for each block
+through brute-force linear solves against the bar matrix, and the local
+Lefschetz polynomial through long division.  Laurent polynomials are plain
+{exp: coeff} dicts with their own little helper functions.  The DimTable
+renderers are rechecked against their first, cell-by-cell bodies.
 """
 from __future__ import annotations
 
@@ -225,6 +225,59 @@ def kl_basis_bruteforce(W):
                 if cz:
                     c[z] = cz
         out[x] = c
+    return out
+
+
+def parabolic_kl_bruteforce(W, I, cols=None):
+    """The parabolic KL basis of M = H (x)_{H_I} L by a triangular bar solve.
+
+    L is the one-dimensional H_I-module on which each H_t, t in I, acts by
+    v^-1 (Deodhar, J. Algebra 111, 1987; Soergel, Represent. Theory 1, 1997,
+    section 3).  M has one basis vector M_c per coset c = xW_I, and H_y maps
+    to v^-(l(y) - l(y_min)) M_{yW_I}; so bar(M_c) is the image of
+    bar(H_{c_min}), one column of ``bar_matrix``.  For each c the unknowns
+    n_{d,c} in vZ[v] of the bar-invariant N_c = M_c + sum n_{d,c} M_d are
+    solved longest d first, as in ``kl_basis_bruteforce``.  The cosets come
+    from closing each element under right multiplication by I.  Returns
+    {c_max: {d_max: n_{d,c}}}, with n_{c,c} = 1.
+    """
+    cols = bar_matrix(W) if cols is None else cols
+    coset = {}  # element -> (min rep, max rep) of its coset
+    for a in W.all_elements():  # by length, so a coset's first element met is its min rep
+        if a not in coset:
+            orbit, todo = {a}, [a]
+            while todo:
+                u = todo.pop()
+                for t in I:
+                    z = W.apply_gen(u, t, "right")
+                    if z not in orbit:
+                        orbit.add(z)
+                        todo.append(z)
+            top = max(orbit, key=lambda z: z.length)
+            coset.update((z, (a, top)) for z in orbit)
+    mins = sorted({m for m, _ in coset.values()}, key=lambda z: z.length)
+    bar_m = {}  # min rep of c -> {min rep of d: coefficient of M_d in bar(M_c)}
+    for c in mins:
+        row = bar_m[c] = {}
+        for z, p in cols[c].items():
+            d = coset[z][0]
+            row[d] = padd(row.get(d, {}), p, shift=d.length - z.length)
+    out = {}
+    for k, c in enumerate(mins):
+        n, acc = {c: {0: 1}}, {}  # acc[d]: sum of bar(n_e) bar_m[e][d] over the e solved so far
+        for d in [c, *reversed(mins[:k])]:
+            if d != c:
+                g = acc.get(d, {})
+                nd = {e: v for e, v in g.items() if e > 0}
+                if g != padd(nd, pneg(pbar(nd))):
+                    raise AssertionError(f"inconsistent parabolic bar solve at ({d}, {c}): {g}")
+                if not nd:
+                    continue
+                n[d] = nd
+            for f, r in bar_m[d].items():
+                if f != d:
+                    acc[f] = padd(acc.get(f, {}), pmul(pbar(n[d]), r))
+        out[coset[c][1]] = {coset[d][1]: nd for d, nd in n.items()}
     return out
 
 

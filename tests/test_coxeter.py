@@ -6,10 +6,14 @@ from pathlib import Path
 import pytest
 
 from coxkl import coxeter
+from coxkl.blocks import make_block
 from coxkl.coxeter import CoxeterError, CoxeterSystem, Element, InfiniteGroupError
 from coxkl.laurent import LaurentPoly
 
 from oracles import model_length, model_matrix, reflection_model, subword_leq
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def all_subsets(rank):
@@ -227,17 +231,35 @@ def group_digest(W):
     return digest.hexdigest()
 
 
+def golden_groups():
+    # (entry, system) for each group of group_golden.json.
+    golden = json.loads((DATA / "group_golden.json").read_text())
+    for g in golden:
+        yield g, CoxeterSystem(g["matrix"]) if "matrix" in g else CoxeterSystem.from_type(g["group"])
+
+
 def test_group_golden():
     # Order and group_digest of every listed group, recorded from the
     # enumeration that carried each element as its reflection matrix.
-    golden = json.loads((Path(__file__).parent / "data" / "group_golden.json").read_text())
-    assert [g["group"] for g in golden] == [
+    groups = list(golden_groups())
+    assert [g["group"] for g, _ in groups] == [
         "A1", "A2", "B2", "G2", "A3", "B3", "H3", "A4", "B4", "D4", "F4", "A5", "D5",
         "I2(5)", "A1xB2", "H4",
     ]
-    for g in golden:
-        W = CoxeterSystem(g["matrix"]) if "matrix" in g else CoxeterSystem.from_type(g["group"])
+    for g, W in groups:
         assert (W.order, group_digest(W)) == (g["order"], g["sha256"]), g["group"]
+
+
+def test_format_element_joins_the_word():
+    # The labels come from the search, one parent label plus one name each;
+    # the referee joins the names of the canonical word.  The matrix file
+    # has the multi-letter name "bb".
+    systems = [W for _, W in golden_groups()]
+    systems.append(CoxeterSystem.from_json_file(DATA / "matrix_a_bb_c.json"))
+    for W in systems:
+        assert W.format_element(W.identity) == "e"
+        for x in W.all_elements():
+            assert W.format_element(x) == ("".join(W.generator_names[s] for s in x.word) or "e"), x
 
 
 # -- Bruhat order -------------------------------------------------------------
@@ -299,17 +321,28 @@ def test_cosets_examples(system):
     assert len(system("A3").cosets([1])) == 12
 
 
-@pytest.mark.parametrize("code", ["A3", "B2"])
+@pytest.mark.parametrize("code", ["A3", "B2", "G2", "B3", "H3", "A4", "D4"])
 def test_coset_partition_properties(code, system):
+    # The referee is coset_max_rep, which walks each element up to its max
+    # rep through ascents in I, independently of the one-step partition.
     W = system(code)
+    pos = {el: i for i, el in enumerate(W.all_elements())}
     for I in all_subsets(W.rank):
         sub = W.parabolic_elements(I)
         cs = W.cosets(I)
         assert len(cs) * len(sub) == W.order
+        mins = [pos[c.min_rep] for c in cs]
+        assert mins == sorted(mins), I
+        tops = sorted({pos[W.coset_max_rep(I, el)] for el in W.all_elements()})
+        block = make_block(W, I)
+        assert [pos[c.max_rep] for c in block.cosets] == tops, I
+        assert set(block.cosets) == set(cs)
         seen = set()
         for c in cs:
             assert len(c.elements) == len(sub)
+            assert [pos[el] for el in c.elements] == sorted(pos[el] for el in c.elements)
             assert c.min_rep == c.elements[0]
+            assert c.max_rep == c.elements[-1]
             assert c.max_rep.length == c.min_rep.length + sub[-1].length
             assert set(I) <= W.descents(c.max_rep, "right")
             assert not (set(I) & W.descents(c.min_rep, "right"))
