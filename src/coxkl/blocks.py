@@ -31,14 +31,13 @@ binomial each.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
 from .coxeter import Coset, CoxeterError, CoxeterSystem, Element
-from .hecke import HeckeAlgebra, _same_system
+from .hecke import HeckeAlgebra, _dumps, _same_system
 
 __all__ = [
     "BlockData",
@@ -57,7 +56,8 @@ class BlockData:
 
     ``cosets`` is sorted by the id of the maximal representatives, which is
     their (length, word) order; it fixes the row/column order of every table
-    built from the block.
+    built from the block.  The readouts raise ``CoxeterError`` on a coset whose
+    max rep some s in I takes up, such as a coset of another partition.
     """
 
     system: CoxeterSystem
@@ -80,13 +80,15 @@ class BlockData:
         """Canonical coset label: the word of the longest representative."""
         return self.system.format_element(c.max_rep)
 
-    def weight_name(self, c: Coset) -> str:
-        """Symbolic highest-weight name attached to the coset.
-
-        Reads as "w_long * xbar * lambda" acted through the dot action; only
-        the coset label varies, no coordinates are involved.
-        """
-        return _weight_name(self.label(c))
+    def _max_id(self, c: Coset) -> int:
+        # The id of c's max rep, refused when some s in I is an ascent of it.
+        W = self.system
+        i = W._id(c.max_rep)
+        up = W._right[i]
+        for s in self.parabolic:  # a plain loop: any() over a generator tripled the check
+            if up[s] > i:
+                raise CoxeterError(f"{W.format_element(c.max_rep)} is not the max rep of a coset of this block")
+        return i
 
 
 _weight_name = "lambda[{}]".format
@@ -111,7 +113,7 @@ def andersen_dims(
     """
     if not _same_system(algebra.system, block.system):
         raise CoxeterError("algebra and block live over different systems")
-    return dict(sorted(algebra._entry(ybar.max_rep, xbar.max_rep).items()))
+    return dict(sorted(algebra._entry(block._max_id(ybar), block._max_id(xbar)).items()))
 
 
 def total_hom_dim(block: BlockData, algebra: HeckeAlgebra, ybar: Coset, xbar: Coset) -> int:
@@ -150,18 +152,17 @@ class DimTable:
         return rows
 
     def to_json(self) -> str:
-        # What json.dumps(sort_keys=True) writes for {"caption", "cells": {"r,c": {str(i): n}}, "cols",
+        # What _dumps writes for {"caption", "cells": {"r,c": {str(i): n}}, "cols",
         # "display_names", "rows"}, with each distinct cell dumped once and the cells joined here.
-        dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         enc = {id(cell): cell for cell in self.cells.values()}
-        enc = {k: dump({str(i): n for i, n in cell.items()}) for k, cell in enc.items()}
+        enc = {k: _dumps({str(i): n for i, n in cell.items()}) for k, cell in enc.items()}
         cells = {f"{r},{c}": enc[id(cell)] for (r, c), cell in self.cells.items()}
         if len(cells) < len(self.cells):  # ("a,b", "c") and ("a", "b,c") print alike: the larger wins
             cells = {f"{r},{c}": enc[id(self.cells[r, c])] for r, c in sorted(self.cells)}
-        body = ",".join([f"{json.encoder.encode_basestring_ascii(k)}:{cells[k]}" for k in sorted(cells)])
+        body = ",".join([f"{_dumps(k)}:{cells[k]}" for k in sorted(cells)])
         return (
-            f'{{"caption":{dump(self.caption)},"cells":{{{body}}},"cols":{dump(self.col_labels)},'
-            f'"display_names":{dump(self.display_names)},"rows":{dump(self.row_labels)}}}'
+            f'{{"caption":{_dumps(self.caption)},"cells":{{{body}}},"cols":{_dumps(self.col_labels)},'
+            f'"display_names":{_dumps(self.display_names)},"rows":{_dumps(self.row_labels)}}}'
         )
 
     def to_csv(self) -> str:
@@ -205,9 +206,10 @@ def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
     """
     if not _same_system(algebra.system, block.system):
         raise CoxeterError("algebra and block live over different systems")
-    labels = tuple(block.label(c) for c in block.cosets)
+    ids = [block._max_id(c) for c in block.cosets]
+    labels = tuple(map(block.system._labels.__getitem__, ids))
     names = tuple(map(_weight_name, labels))
-    reps = sorted((block.system._id(c.max_rep), lab) for c, lab in zip(block.cosets, labels))
+    reps = sorted(zip(ids, labels))
     label_of = dict(reps)
     cells: dict[tuple[str, str], dict[int, int]] = {}
     copies: dict[int, dict[int, int]] = {}  # one copy per pool index

@@ -24,8 +24,8 @@ from itertools import chain, starmap
 
 from .blocks import andersen_table, equivariant_hom_series, make_block
 from .coxeter import CoxeterError, CoxeterSystem
-from .hecke import HeckeAlgebra, MalformedKL
-from .lefschetz import _dumps, _json_parts, ih_poincare, lefschetz_audit, local_lefschetz_poly
+from .hecke import HeckeAlgebra, MalformedKL, _dumps
+from .lefschetz import _json_parts, ih_poincare, lefschetz_audit, local_lefschetz_poly
 
 __all__ = ["UsageError", "build_parser", "run", "main"]
 
@@ -239,7 +239,7 @@ def _audit(args, system, algebra, parabolic):
 
     return status, _render(
         args.fmt,
-        chain(starmap("{}{},{}{}".format, pairs(_json_parts, json.dumps)), (r.to_json_line() for r in ihs)),
+        chain(starmap("{}{},{}{}".format, pairs(_json_parts, _dumps)), (r.to_json_line() for r in ihs)),
         "kind,y,x,d,palindromic,unimodal,nonneg",
         chain(
             pairs(lambda d, poly, *flags: ("local", ",".join(map(str, (d, *flags))))),

@@ -28,7 +28,9 @@ where a public function returns or prints.
 
 KL elements are computed by the standard recursion on the smallest left
 descent and memoized; the memo table can be persisted to a JSON cache keyed
-by a hash of the Coxeter matrix and generator order.
+by a hash of the Coxeter matrix and generator order.  The cache is written
+by ``_dumps``, the package's one JSON encoder (keys sorted, no spaces), which
+also writes every JSON line the CLI prints and ``DimTable.to_json``.
 
 A group has few distinct h_{y,x} (121 among the 98,407 entries of A5), so
 the algebra keeps each distinct polynomial once, in its pool, and every memo
@@ -96,6 +98,8 @@ class MalformedKL(RuntimeError):
 Raw = dict[int, dict[int, int]]  # element id -> {exponent: coefficient}
 Row = dict[int, int]  # element id -> pool index
 _ONE = 0  # the pool index of h_{x,x} = 1, which every algebra interns first
+# The one JSON form of the package, for the cache and every printed line: keys sorted, no spaces.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # H_y (H_s + c) = H_ys + c H_y when ys > y and H_ys + (c + v^-1 - v) H_y
 # when ys < y, by H_s^2 = H_e + (v^-1 - v) H_s.  Each constant holds the two
@@ -345,10 +349,9 @@ class HeckeAlgebra:
                 h = f"h({W.format_element(W._el(yi))}, {W.format_element(W._el(xi))})"
                 raise MalformedKL(f"{h} has a zero coefficient or breaks v*Z[v], the length bound, parity or P(0) = 1")
 
-    def _entry(self, y: Element, x: Element) -> Mapping[int, int]:
-        # The one reader of a single h_{y,x}: its pooled dict, which callers copy, or {}
+    def _entry(self, yi: int, xi: int) -> Mapping[int, int]:
+        # The one reader of a single h_{y,x}, by ids: its pooled dict, which callers copy, or {}
         # when y is not in the row of x.  An entry present is refused as _check_row would.
-        yi, xi = self.system._id(y), self.system._id(x)
         i = self._kl_raw(xi).get(yi)
         if i is None:
             return {}
@@ -428,16 +431,16 @@ class HeckeAlgebra:
 
     def h_poly(self, y: Element, x: Element) -> LaurentPoly:
         """h_{y,x}(v), a copy: the H_y-coefficient of uH(x), zero unless y <= x; MalformedKL if corrupt."""
-        return LaurentPoly._raw(dict(self._entry(y, x)))
+        return LaurentPoly._raw(dict(self._entry(self.system._id(y), self.system._id(x))))
 
     def kl_polynomial(self, y: Element, x: Element) -> LaurentPoly:
         """P_{y,x}(q), from h_{y,x}(v) = v^(l(x)-l(y)) P_{y,x}(v^-2)."""
-        d = x.length - y.length
-        return LaurentPoly({(d - i) // 2: c for i, c in self._entry(y, x).items()})
+        d, h = x.length - y.length, self._entry(self.system._id(y), self.system._id(x))
+        return LaurentPoly({(d - i) // 2: c for i, c in h.items()})
 
     def mu(self, y: Element, x: Element) -> int:
         """The coefficient of v in h_{y,x}: the KL mu(y, x), 0 unless y < x; MalformedKL if corrupt."""
-        return self._entry(y, x).get(1, 0)
+        return self._entry(self.system._id(y), self.system._id(x)).get(1, 0)
 
     # -- basis conversion -------------------------------------------------
 
@@ -480,11 +483,7 @@ class HeckeAlgebra:
         rows = sorted(self._h.items())
         items = [sorted(h.items()) for h in self._polys]  # read after rows, so it has each index they name
         kl = [[xi, [[yi, items[i]] for yi, i in sorted(row.items())]] for xi, row in rows]
-        blob = json.dumps(
-            {"schema": CACHE_SCHEMA, "coxeter_hash": self.system.fingerprint, "kl": kl},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        blob = _dumps({"schema": CACHE_SCHEMA, "coxeter_hash": self.system.fingerprint, "kl": kl})
         # A temp file in the same directory and os.replace: a concurrent
         # reader sees the old file or the new one, never a partial write.
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"

@@ -24,7 +24,8 @@ CoeffSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 def _acc(dst: dict[int, int], src: Mapping[int, int], shift: int = 0, factor: int = 1) -> None:
     # dst += factor * v^shift * src over raw {exponent: coefficient} maps,
-    # dropping zeros.  The one coefficient loop of the package.
+    # dropping zeros.  The one coefficient loop of the package: the LaurentPoly
+    # constructor, + and *, the Hecke steps and the audit's IP_x sums add through it.
     for e, c in src.items():
         k = e + shift
         n = dst.get(k, 0) + c * factor
@@ -47,17 +48,11 @@ class LaurentPoly:
 
     def __init__(self, coeffs: CoeffSource = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        c: dict[int, int] = {}
+        self._c: dict[int, int] = {}
         for e, a in items:
             if not (isinstance(e, int) and isinstance(a, int)) or isinstance(e, bool) or isinstance(a, bool):
                 raise TypeError(f"exponents and coefficients must be ints, got ({e!r}, {a!r})")
-            if a:
-                na = c.get(e, 0) + a
-                if na:
-                    c[e] = na
-                else:
-                    del c[e]
-        self._c = c
+            _acc(self._c, {e: a})
 
     # -- constructors --------------------------------------------------
 

@@ -33,7 +33,6 @@ builds a ``LefschetzReport`` for a pair only when it is read.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
@@ -44,7 +43,7 @@ from operator import ge, index, le
 from typing import Mapping, NamedTuple
 
 from .coxeter import Element
-from .hecke import HeckeAlgebra
+from .hecke import HeckeAlgebra, _dumps
 from .laurent import LaurentPoly, _acc
 
 __all__ = ["LefschetzReport", "IHReport", "AuditResult", "local_lefschetz_poly", "ih_poincare", "lefschetz_audit"]
@@ -74,12 +73,7 @@ class LefschetzReport(NamedTuple):
 
     def to_json_line(self) -> str:
         head, tail = _json_parts(*self[4:])
-        return f"{head}{json.dumps(self.y_label)},{json.dumps(self.x_label)}{tail}"
-
-
-def _dumps(value) -> str:
-    # The one JSON form of every printed line: keys sorted, no spaces.
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return f"{head}{_dumps(self.y_label)},{_dumps(self.x_label)}{tail}"
 
 
 def _json_parts(d: int, poly: LaurentPoly, palindromic: bool, unimodal: bool, nonneg: bool) -> tuple[str, str]:
@@ -181,7 +175,7 @@ def _row(algebra: HeckeAlgebra, xi: int, table: dict):
 def local_lefschetz_poly(algebra: HeckeAlgebra, y: Element, x: Element) -> LefschetzReport:
     """Build the local Lefschetz polynomial and its three property verdicts."""
     W, d = algebra.system, x.length - y.length
-    h = algebra._entry(y, x)
+    h = algebra._entry(W._id(y), W._id(x))
     return LefschetzReport(y, x, W.format_element(y), W.format_element(x), d, *_local(h, d))
 
 

@@ -13,7 +13,7 @@ from coxkl.blocks import (
     make_block,
     total_hom_dim,
 )
-from coxkl.coxeter import CoxeterError, CoxeterSystem
+from coxkl.coxeter import Coset, CoxeterError, CoxeterSystem
 from coxkl.hecke import HeckeAlgebra
 
 from oracles import (
@@ -197,6 +197,57 @@ def test_andersen_table_does_not_depend_on_coset_order(system, algebra):
         table, table_rev = andersen_table(block, A), andersen_table(reverse, A)
         assert table_rev.row_labels == table.row_labels[::-1]
         assert table_rev.cells == table.cells, I
+
+
+def test_readouts_reject_a_coset_of_another_partition(system, algebra):
+    # A coset is read at its max rep, which must have every s in I as a descent.
+    # The coset of e in the regular block has max rep e, which s takes up: the
+    # readouts used to answer h_{e,sts} = v^3 for it, though the coset of e
+    # under I = {s} has max rep s and h_{s,sts} = v^2.
+    W, A = system("A2"), algebra("A2")
+    block, regular = make_block(W, [0]), make_block(W, [])
+    assert andersen_dims(block, A, block.coset_of(W.identity), block.cosets[-1]) == {2: 1}
+    for query in (andersen_dims, total_hom_dim):
+        with pytest.raises(CoxeterError, match="e is not the max rep"):
+            query(block, A, regular.cosets[0], block.cosets[-1])
+        with pytest.raises(CoxeterError, match="e is not the max rep"):
+            query(block, A, block.cosets[0], regular.cosets[0])
+    with pytest.raises(CoxeterError, match="e is not the max rep"):
+        equivariant_hom_series(block, A, regular.cosets[0], block.cosets[-1], 4)
+    # Every I and J of A3: a coset of W_J is accepted by the block of I exactly
+    # when its max rep is one of the block's, and then reads as that coset.
+    W, A = system("A3"), algebra("A3")
+    for I in all_subsets(W.rank):
+        block = make_block(W, I)
+        tops = {c.max_rep for c in block.cosets}
+        top = block.cosets[-1]
+        for J in all_subsets(W.rank):
+            for c in make_block(W, J).cosets:
+                if c.max_rep in tops:
+                    own = block.coset_of(c.max_rep)
+                    assert andersen_dims(block, A, c, top) == andersen_dims(block, A, own, top)
+                    assert andersen_dims(block, A, top, c) == andersen_dims(block, A, top, own)
+                else:
+                    with pytest.raises(CoxeterError, match="is not the max rep"):
+                        andersen_dims(block, A, c, top)
+                    with pytest.raises(CoxeterError, match="is not the max rep"):
+                        andersen_dims(block, A, top, c)
+
+
+def test_andersen_table_rejects_a_coset_listed_at_a_non_max_rep(system, algebra):
+    # A hand-built block whose first coset is {e} under I = {s}: its "max rep"
+    # e has the ascent s.  The table used to print rows e,e, e,ts and e,sts.
+    W, A = system("A2"), algebra("A2")
+    block = make_block(W, [0])
+    e = W.identity
+    bad = BlockData(W, block.parabolic, block.w_long, block.w_iota, (Coset(e, e, (e,)), *block.cosets[1:]))
+    with pytest.raises(CoxeterError, match="e is not the max rep"):
+        andersen_table(bad, A)
+    # The same coset anywhere in the list, and a coset of another partition.
+    other = make_block(W, [1]).cosets[0]  # max rep t, which s takes up
+    for cosets in (block.cosets[1:] + (Coset(e, e, (e,)),), (other, *block.cosets[1:])):
+        with pytest.raises(CoxeterError, match="is not the max rep"):
+            andersen_table(BlockData(W, block.parabolic, block.w_long, block.w_iota, cosets), A)
 
 
 def test_tables_reject_an_algebra_over_another_system(system, algebra):

@@ -30,3 +30,46 @@ def test_package_has_no_assert():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} asserts on lines {lines}"
+
+
+def _scoped(node, scope=()):
+    # (scope, node) for each node under node; the scope names the enclosing
+    # classes and functions, or the target of a module-level assignment.
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = (*scope, child.name)
+        elif isinstance(child, ast.Assign) and not scope:
+            inner = tuple(t.id for t in child.targets if isinstance(t, ast.Name))
+        yield from _scoped(child, inner)
+
+
+def test_package_has_one_json_encoder():
+    # Every JSON byte the package writes comes from hecke._dumps: the cache,
+    # DimTable.to_json and every printed line.  The fingerprint alone keeps
+    # json.dumps, with the default separators its hash was taken over.
+    src = Path(coxkl.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imports = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module == "json"]
+        assert not imports, f"{path.name} imports names from json on lines {imports}"
+        for scope, n in _scoped(tree):  # a call, or a reference passed on to be called
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "json":
+                if n.attr in ("dumps", "JSONEncoder"):
+                    found.add(".".join((path.stem, *scope)))
+    assert found == {"hecke._dumps", "coxeter.CoxeterSystem.fingerprint"}
+
+
+def test_laurent_constructor_adds_through_acc():
+    # _acc is the package's one coefficient loop: LaurentPoly.__init__ checks
+    # each pair's type and adds it through _acc, writing no entry itself.
+    tree = ast.parse(Path(coxkl.laurent.__file__).read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LaurentPoly"]
+    (init,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    called = {n.func.id for n in ast.walk(init) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert "_acc" in called
+    writes = [n.lineno for n in ast.walk(init)
+              if isinstance(n, ast.Delete) or isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load)]
+    assert not writes, f"LaurentPoly.__init__ writes coefficients itself on lines {writes}"
