@@ -86,7 +86,7 @@ from typing import Iterable, Mapping
 from .coxeter import CoxeterError, CoxeterSystem, Element
 from .laurent import LaurentPoly, _acc, _mac
 
-__all__ = ["MalformedKL", "HeckeElt", "HeckeAlgebra", "CACHE_SCHEMA"]
+__all__ = ["MalformedKL", "HeckeElt", "HeckeAlgebra"]
 
 CACHE_SCHEMA = 2
 

@@ -35,6 +35,7 @@ def all_subsets(rank):
         ("A4", 120, "A4"),
         ("B2", 8, "B2"),
         ("B3", 48, "B3"),
+        ("D2", 4, "A1xA1"),
         ("D4", 192, "D4"),
         ("G2", 12, "G2"),
         ("F4", 1152, "F4"),
@@ -72,6 +73,11 @@ def test_bad_matrices():
         CoxeterSystem([[1, 7], [7, 1]])
     with pytest.raises(CoxeterError):
         CoxeterSystem([[1, 0], [0, 1]])
+    for matrix in ([[1, 2.0], [2.0, 1]], [[1, True], [True, 1]]):
+        with pytest.raises(CoxeterError, match="matrix entries must be ints"):
+            CoxeterSystem(matrix)
+    with pytest.raises(CoxeterError, match="expected 2 generator names, got 1"):
+        CoxeterSystem([[1, 3], [3, 1]], ["a"])
     with pytest.raises(CoxeterError):
         CoxeterSystem.from_type("Z9")
     with pytest.raises(CoxeterError):
@@ -87,6 +93,14 @@ def test_bad_matrices():
             CoxeterSystem.from_json({"rank": rank, "matrix": matrix})
 
 
+def _edge_matrix(n, bonds):
+    # The Coxeter matrix of rank n with the given {(i, j): m} bonds; all other pairs commute.
+    m = [[1 if i == j else 2 for j in range(n)] for i in range(n)]
+    for (i, j), label in bonds.items():
+        m[i][j] = m[j][i] = label
+    return m
+
+
 def test_infinite_matrices_rejected():
     # affine A2~: a 3-cycle of 3-bonds
     with pytest.raises(InfiniteGroupError):
@@ -97,6 +111,24 @@ def test_infinite_matrices_rejected():
     # affine G2~: path 6-3
     with pytest.raises(InfiniteGroupError):
         CoxeterSystem([[1, 6, 2], [6, 1, 3], [2, 3, 1]])
+    for n, bonds in (
+        (5, {(0, 1): 3, (0, 2): 3, (0, 3): 3, (0, 4): 3}),  # affine D4~: a vertex with four leaves
+        (6, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (3, 5): 3}),  # affine D5~: two branch vertices
+        (4, {(0, 1): 3, (1, 2): 3, (1, 3): 4}),  # affine B3~: a branch vertex next to a 4-bond
+    ):
+        with pytest.raises(InfiniteGroupError):
+            CoxeterSystem(_edge_matrix(n, bonds))
+
+
+def test_enumeration_checked_against_the_catalog(monkeypatch):
+    # Behind the catalog, construction still checks the enumeration itself.
+    monkeypatch.setattr(coxeter, "_classify_matrix", lambda m: ("A3", 23))
+    with pytest.raises(CoxeterError, match="enumeration disagrees with the catalog order"):
+        CoxeterSystem.from_type("A3")
+    monkeypatch.setattr(coxeter, "_classify_matrix", lambda m: ("A3", 10))
+    monkeypatch.setattr(coxeter, "DEFAULT_MAX_ELEMENTS", 10)
+    with pytest.raises(InfiniteGroupError, match="enumeration exceeded the element bound 10"):
+        CoxeterSystem.from_type("A3")
 
 
 def test_element_bound_enforced(monkeypatch):

@@ -73,3 +73,14 @@ def test_laurent_constructor_adds_through_acc():
     writes = [n.lineno for n in ast.walk(init)
               if isinstance(n, ast.Delete) or isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load)]
     assert not writes, f"LaurentPoly.__init__ writes coefficients itself on lines {writes}"
+
+
+def test_package_exports_its_modules_all():
+    # Each module's __all__ is the one list of what it exports: the package
+    # star-imports the layers and concatenates their lists, naming no public
+    # name a second time.
+    layers = [coxkl.laurent, coxkl.coxeter, coxkl.hecke, coxkl.blocks, coxkl.lefschetz]
+    assert coxkl.__all__ == [name for module in layers for name in module.__all__]
+    tree = ast.parse(Path(coxkl.__file__).read_text(encoding="utf-8"))
+    named = [(n.lineno, a.name) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
+    assert all(name == "*" for _, name in named), f"__init__.py imports by name: {named}"

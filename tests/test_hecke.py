@@ -50,6 +50,16 @@ def test_mul_by_gen_examples(system):
         H(W, "t").mul_by_gen(-1)
 
 
+def test_repr_and_is_zero(system):
+    W = system("A2")
+    hs = HeckeElt.standard(W, W.generators[0])
+    nothing = HeckeElt(W, {})
+    assert repr(hs) == "HeckeElt((1)H[s])"
+    assert repr(nothing) == "HeckeElt(0)"
+    assert not hs.is_zero and nothing.is_zero
+    assert (hs - hs).is_zero
+
+
 def test_product_examples(system, algebra):
     W, A = system("A2"), algebra("A2")
     a = H(W, "st") + v * H(W, "s")

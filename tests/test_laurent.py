@@ -106,6 +106,18 @@ def test_min_max_exp():
         zero.min_exp
 
 
+def test_bool_iter_and_int_operands():
+    p = LaurentPoly({1: 2, -1: 1})
+    assert p and not LaurentPoly()
+    assert list(p) == [(-1, 1), (1, 2)]
+    assert LaurentPoly(p) == p  # the copy reads p through __iter__
+    assert p + 3 == 3 + p == P((-1, 1), (0, 3), (1, 2))
+    assert 3 - p == P((-1, -1), (0, 3), (1, -2))
+    assert p * 0 == 0 and not p * 0
+    with pytest.raises(ValueError):
+        LaurentPoly().max_exp
+
+
 def test_ring_properties_random():
     rng = random.Random(20250808)
     for _ in range(300):

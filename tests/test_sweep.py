@@ -14,11 +14,11 @@ import random
 
 import pytest
 
-from coxkl import CoxeterSystem, HeckeAlgebra
+from coxkl import CoxeterSystem, HeckeAlgebra, andersen_table, make_block
 from coxkl.coxeter import CoxeterError, _builtin_matrix
 from coxkl.laurent import LaurentPoly
 
-from oracles import kl_basis_bruteforce, subword_elements
+from oracles import bar_matrix, kl_basis_bruteforce, parabolic_kl_bruteforce, subword_elements
 
 # Each group is a direct sum of these irreducible parts.
 SWEEP = [
@@ -26,6 +26,8 @@ SWEEP = [
     "A1xA3", "A1xB3", "A3", "B3", "H3", "A4", "D4",
 ]
 NAME_LETTERS = "abcst12"
+# test_blocks.py referees H3, A4 and D4 in the built-in order; the rest have order at most 96.
+BLOCK_SWEEP = [group for group in SWEEP if group not in ("H3", "A4", "D4")]
 
 
 def _part(code: str) -> list[list[int]]:
@@ -115,3 +117,19 @@ def test_sweep_against_brute_force(group):
         text = "".join(W.generator_names[s] for s in word)
         assert W.parse_word(text) == word, (W.generator_names, text)
         assert W.parse_element(text) == W.element(word)
+
+
+@pytest.mark.parametrize("group", BLOCK_SWEEP)
+def test_sweep_blocks_against_the_parabolic_referee(group):
+    # Every singular block of the shuffled, renamed system against the
+    # parabolic module's own bar-invariance solve, as test_blocks.py does in
+    # the built-in generator order.
+    W = _random_system(group, random.Random(f"sweep {group}"))
+    A, cols = HeckeAlgebra(W), bar_matrix(W)
+    for r in range(W.rank + 1):
+        for I in itertools.combinations(range(W.rank), r):
+            ref = parabolic_kl_bruteforce(W, I, cols)
+            table = andersen_table(make_block(W, I), A)
+            assert table.row_labels == tuple(W.format_element(x) for x in sorted(ref, key=lambda x: x.sort_key)), I
+            expected = {(W.format_element(y), W.format_element(x)): n for x, col in ref.items() for y, n in col.items()}
+            assert table.cells == expected, I
