@@ -59,8 +59,8 @@ orbit of G: before recursing, ``_kl_raw`` looks for a memoized row of g(x),
 g != 1 in G, and if there is one, the row of x is that row read through g,
 {g^-1(y): h}, sharing its pool indices.  It is checked and counted like any
 computed row.  The id tables of G come from the Cayley tables and are built
-at the first row the algebra computes, so an algebra that only loads a cache
-never builds them.  On A5, 490 of the 720 rows are read this way in id order.
+with the algebra.  On A5, 490 of the 720 rows are read this way in id order.
+The cache holds one row per orbit, and a load reads the others through G.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A3")
@@ -291,6 +291,11 @@ def _symmetries(W: CoxeterSystem) -> list[tuple[list[int], list[int]]]:
     return out
 
 
+def _through(row: Row, t: list[int]) -> Row:
+    # A row of some x read through the id table t of g in G: the row of g(x), sharing its pool indices.
+    return {t[yi]: i for yi, i in row.items()}
+
+
 class HeckeAlgebra:
     """KL basis machinery over one Coxeter system, with a memoized table.
 
@@ -317,8 +322,7 @@ class HeckeAlgebra:
         # Pool arithmetic memoized on the indices of its operands.
         self._ops: dict[tuple, int | tuple[int, int]] = {}
         self.computed_count = 0
-        # _symmetries(system), built at the first computed row.
-        self._sym: list[tuple[list[int], list[int]]] | None = None
+        self._sym = _symmetries(system)
         self._intern({0: 1})  # index _ONE
 
     def _intern(self, h: dict[int, int]) -> int:
@@ -337,9 +341,9 @@ class HeckeAlgebra:
                     i = self._pool[key] = len(self._polys) - 1
         return i
 
-    def _check_row(self, xi: int, row: Row) -> None:
+    def _check_row(self, xi: int, row: Row) -> Row:
         # The shape of a KL row {y: index of h_{y,x}}: h_{x,x} = 1, and
-        # _kl_class(h_{y,x}, l(x) - l(y)) for every other y, read off _deg.
+        # _kl_class(h_{y,x}, l(x) - l(y)) for every other y, read off _deg.  Returns row.
         W, deg = self.system, self._deg
         if row.get(xi) != _ONE:
             raise MalformedKL(f"uH({W.format_element(W._el(xi))}) must be unitriangular")
@@ -348,6 +352,7 @@ class HeckeAlgebra:
             if deg[i] != lx - lengths[yi] and yi != xi:
                 h = f"h({W.format_element(W._el(yi))}, {W.format_element(W._el(xi))})"
                 raise MalformedKL(f"{h} has a zero coefficient or breaks v*Z[v], the length bound, parity or P(0) = 1")
+        return row
 
     def _entry(self, yi: int, xi: int) -> Mapping[int, int]:
         # The one reader of a single h_{y,x}, by ids: its pooled dict, which callers copy, or {}
@@ -365,16 +370,12 @@ class HeckeAlgebra:
         if row is not None:
             return row
         W = self.system
-        left = W._left
-        lengths = W._lengths
-        word = W._words[xi]
-        if self._sym is None:
-            self._sym = _symmetries(W)
+        left, lengths, word = W._left, W._lengths, W._words[xi]
         # h_{y,x} = h_{g(y),g(x)} for g in G: when the memo holds the row of
         # some g(x), the row of x is that row read through g.
         seen = next(((self._h[g[xi]], back) for g, back in self._sym if g[xi] in self._h), None)
         if seen is not None:
-            res = {seen[1][yi]: i for yi, i in seen[0].items()}
+            res = _through(*seen)
         elif not word:
             res: Row = {xi: _ONE}
         else:
@@ -420,9 +421,10 @@ class HeckeAlgebra:
         return res
 
     def kl_element(self, x: Element) -> HeckeElt:
-        """The bar-invariant basis element uH(x) = sum_y h_{y,x}(v) H_y."""
+        """The bar-invariant basis element uH(x) = sum_y h_{y,x}(v) H_y; MalformedKL if its row is corrupt."""
         xi = self.system._id(x)
-        return HeckeElt._wrap(self.system, {yi: self._polys[i] for yi, i in self._kl_raw(xi).items()})
+        row = self._check_row(xi, self._kl_raw(xi))
+        return HeckeElt._wrap(self.system, {yi: self._polys[i] for yi, i in row.items()})
 
     def kl_table(self) -> None:
         """Compute (or finish computing) uH(x) for every x in the group."""
@@ -459,7 +461,7 @@ class HeckeAlgebra:
             c = rem.pop(xi, None)
             if c:
                 out[xi] = c
-                for yi, i in self._kl_raw(xi).items():
+                for yi, i in self._check_row(xi, self._kl_raw(xi)).items():
                     if yi != xi:
                         _mac(rem.setdefault(yi, {}), polys[i], c, -1)
         return {W._el(xi): LaurentPoly._raw(out[xi]) for xi in reversed(out)}
@@ -479,10 +481,14 @@ class HeckeAlgebra:
     # -- persistence -------------------------------------------------------
 
     def save_cache(self, path) -> None:
-        """Write the memo table as deterministic JSON, rows and entries by id."""
-        rows = sorted(self._h.items())
+        """Write the memo table as deterministic JSON: one row per orbit of G, rows and entries by id."""
+        rows: dict[int, Row] = {}  # the smallest id of each orbit the memo meets -> its row
+        for xi, row in sorted(self._h.items()):
+            g = min((g for g, _ in self._sym), key=lambda g: g[xi])
+            if (ri := min(xi, g[xi])) not in rows:  # a held row of the smallest id came first
+                rows[ri] = row if ri == xi else _through(row, g)
         items = [sorted(h.items()) for h in self._polys]  # read after rows, so it has each index they name
-        kl = [[xi, [[yi, items[i]] for yi, i in sorted(row.items())]] for xi, row in rows]
+        kl = [[xi, [[yi, items[i]] for yi, i in sorted(row.items())]] for xi, row in sorted(rows.items())]
         blob = _dumps({"schema": CACHE_SCHEMA, "coxeter_hash": self.system.fingerprint, "kl": kl})
         # A temp file in the same directory and os.replace: a concurrent
         # reader sees the old file or the new one, never a partial write.
@@ -509,8 +515,10 @@ class HeckeAlgebra:
         lists a y twice, a row listed twice, and an entry with an exponent twice
         raise ``MalformedKL`` before anything is stored.  [e, x] is built from
         the row of u = sx when the file or the memo holds it, else by
-        ``CoxeterSystem._interval``.  Loaded entries are pooled like computed
-        ones.
+        ``CoxeterSystem._interval``.  An accepted row gives its G-orbit, read
+        through G and checked by ``_check_row``; a row listed after one of its
+        orbit must equal the row read off it, else ``MalformedKL``.  Loaded
+        entries are pooled like computed ones; none counts as computed.
         """
         W = self.system
         try:
@@ -531,6 +539,7 @@ class HeckeAlgebra:
         n, left, words = W.order, W._left, W._words
         pool, intern = self._pool, self._intern
         loaded: dict[int, Row] = {}
+        listed: set[int] = set()
 
         def index(pairs) -> int:
             # A pooled entry is found by the pairs as saved; others are built.
@@ -552,12 +561,18 @@ class HeckeAlgebra:
                 row = {yi: index(pairs) for yi, pairs in entries}
                 if not all(type(i) is int and 0 <= i < n for i in (xi, *row)):
                     return False
-                if len(row) != len(entries) or xi in loaded:
+                if len(row) != len(entries) or xi in listed:
                     raise MalformedKL(f"the cache lists the row of uH({W.format_element(W._el(xi))}) or a y in it twice")
-                self._check_row(xi, row)
-                if row.keys() != interval(xi):
-                    raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")
-                loaded[xi] = row
+                listed.add(xi)
+                if xi in loaded and row != loaded[xi]:  # loaded holds it read through G off its orbit
+                    raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) is not its orbit's read through G")
+                if xi not in loaded:
+                    self._check_row(xi, row)
+                    if row.keys() != interval(xi):
+                        raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")
+                    loaded[xi] = row
+                    for mi, g in {g[xi]: g for g, _ in self._sym if g[xi] != xi}.items():  # the rest of x's orbit
+                        loaded[mi] = self._check_row(mi, _through(row, g))
         except (KeyError, TypeError, ValueError):
             return False
         self._h.update(loaded)

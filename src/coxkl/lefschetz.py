@@ -160,8 +160,7 @@ def _row(algebra: HeckeAlgebra, xi: int, table: dict):
     # The memo row {y: index of h_{y,x}} of uH(x), once _check_row accepts it:
     # its ys in id order, their verdicts and IP_x.  table maps a pool index to
     # the verdict of its class, whose d is _deg[i], None only for h_{x,x} = 1.
-    row, polys, lx = algebra._kl_raw(xi), algebra._polys, algebra.system._lengths[xi]
-    algebra._check_row(xi, row)
+    row, polys, lx = algebra._check_row(xi, algebra._kl_raw(xi)), algebra._polys, algebra.system._lengths[xi]
     total: dict[int, int] = {}
     for i, n in Counter(row.values()).items():
         if i not in table:  # a class new to the audit, judged once

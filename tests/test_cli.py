@@ -337,6 +337,27 @@ def test_cache_rewritten_only_when_changed(tmp_path):
     assert cache.stat().st_mtime_ns != past and json.loads(cache.read_text())["schema"] == 2
 
 
+def test_warm_ih_leaves_an_orbit_compact_cache_untouched(tmp_path):
+    # The A4 cache lists one row per orbit of the symmetry group, 45 of the
+    # 120; a warm ih on an x whose row is not listed reads it through G,
+    # computes nothing, and leaves the file's bytes and mtime as they were.
+    from coxkl import CoxeterSystem
+
+    W = CoxeterSystem.from_type("A4")
+    cache = tmp_path / "kl.json"
+    base = ["--type", "A4", "--cache", str(cache)]
+    assert run_cli([*base, "--cmd", "andersen"])[0] == 0
+    listed = {xi for xi, _ in json.loads(cache.read_text())["kl"]}
+    assert len(listed) == 45
+    x = W.format_element(W._el(max(set(range(W.order)) - listed)))
+    past = 10**18
+    os.utime(cache, ns=(past, past))
+    before = cache.read_bytes()
+    status, warm = run_cli([*base, "--cmd", "ih", "--x", x])
+    assert (status, warm) == run_cli(["--type", "A4", "--cmd", "ih", "--x", x])
+    assert (cache.read_bytes(), cache.stat().st_mtime_ns) == (before, past)
+
+
 def test_cache_env_dir(tmp_path):
     status, _ = run_cli(
         ["--type", "B2", "--cmd", "ih", "--x", "stst"], env_cache=tmp_path

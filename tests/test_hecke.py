@@ -251,11 +251,14 @@ KL_GOLDEN_GROUPS = [
 
 def kl_digest(A):
     """Entry count and SHA-256 of a full KL memo, rows and entries by id."""
+    # Each line is json.dumps([x, [[y, sorted pairs of h_{y,x}], ...]]) with its
+    # default separators, built from the JSON of each pool entry, made once.
     digest, count = hashlib.sha256(), 0
+    text = [json.dumps(sorted(p.items())) for p in A._polys]
     for xi, row in sorted(A._h.items()):
         count += len(row)
-        line = [xi, [[yi, sorted(A._polys[i].items())] for yi, i in sorted(row.items())]]
-        digest.update(json.dumps(line).encode() + b"\n")
+        line = ", ".join(f"[{yi}, {text[i]}]" for yi, i in sorted(row.items()))
+        digest.update(f"[{xi}, [{line}]]\n".encode())
     return count, digest.hexdigest()
 
 
@@ -522,16 +525,127 @@ def test_cache_roundtrip(tmp_path, system):
         for y in W.all_elements():
             assert a2.h_poly(y, x) == a1.h_poly(y, x)
     assert a2.computed_count == 0
-    # Nothing was computed, so the symmetry tables were never built.
-    assert a2._sym is None
+    # The file lists 13 of the 24 rows, one per orbit of G; the load read the
+    # other 11 through G, with the tables the algebra built.
+    assert [xi for xi, _ in json.loads(path.read_text())["kl"]] == [0, 1, 2, 4, 5, 9, 10, 11, 15, 18, 20, 21, 23]
+    assert sorted(a2._h) == list(range(W.order))
+    assert [g for g, _ in a2._sym] == [g for g, _ in _symmetries(W)]
     a2.save_cache(tmp_path / "kl2.json")
     assert (tmp_path / "kl2.json").read_bytes() == path.read_bytes()
     # Ids are positions in all_elements(): a change of that order or of the
     # file format without a schema bump must fail here first.
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
+        1740, "822993fcb2df09b6b449004a8ff308ac0d982beecb33e0e2385e2918acef3f89"
+    )
+
+
+def orbit(A, xi):
+    """The orbit of x under the symmetry group G of A, as ids."""
+    return {xi, *(g[xi] for g, _ in A._sym)}
+
+
+def save_every_row(A, path):
+    """Write the memo of A in the cache format with every row listed, as a
+    save_cache that wrote one row per memo row did."""
+    kl = [[xi, [[yi, sorted(A._polys[i].items())] for yi, i in sorted(row.items())]] for xi, row in sorted(A._h.items())]
+    head = {"schema": CACHE_SCHEMA, "coxeter_hash": A.system.fingerprint, "kl": kl}
+    path.write_text(json.dumps(head, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+@pytest.mark.parametrize("group", KL_GOLDEN_GROUPS)
+def test_saved_table_lists_one_row_per_orbit(tmp_path, group):
+    # A full table is saved as one row per G-orbit, that of its smallest id,
+    # and loads, computing nothing, to the golden table.
+    (g,) = [g for g in json.loads((Path(__file__).parent / "data" / "kl_golden.json").read_text()) if g["group"] == group]
+    W = CoxeterSystem(g["matrix"]) if "matrix" in g else CoxeterSystem.from_type(group)
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    path = tmp_path / "kl.json"
+    A.save_cache(path)
+    listed = [xi for xi, _ in json.loads(path.read_text())["kl"]]
+    assert listed == sorted({min(orbit(A, xi)) for xi in range(W.order)})
+    del A
+    B = HeckeAlgebra(W)
+    assert B.load_cache(path) and B.computed_count == 0
+    assert kl_digest(B) == (g["entries"], g["sha256"])
+
+
+def test_cache_that_lists_every_row(tmp_path, system):
+    # A file with every row listed, as written before one row per orbit, loads
+    # to the same table.  A row of g(x) listed after the row of x must equal
+    # that row read through g: two entries of the row of g(x) at ys of one
+    # length swapped keep it a valid KL row on its own, but not the orbit's.
+    W = system("A3")
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    path = tmp_path / "kl.json"
+    save_every_row(A, path)
+    raw = path.read_bytes()
+    assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
         2915, "fb8d7a65e6956cd6a6f84e34cd1a7e12c11ce7f784f9229919df3a4a5ced02b1"
     )
+    B = HeckeAlgebra(W)
+    assert B.load_cache(path) and B.computed_count == 0 and kl_digest(B) == kl_digest(A)
+
+    W = system("B3")
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    x, gx, y1, y2 = (W._id(W.parse_element(w)) for w in ("s2s1s3s2s3", "s3s2s1s3s2", "s1", "s2"))
+    assert gx in orbit(A, x) and gx > x and W._lengths[y1] == W._lengths[y2]
+    row = A._h[gx]
+    assert row[y1] != row[y2]
+    row[y1], row[y2] = row[y2], row[y1]
+    save_every_row(A, path)
+    B = HeckeAlgebra(W)
+    with pytest.raises(MalformedKL, match="s3s2s1s3s2"):
+        B.load_cache(path)
+    assert not B._h
+
+
+@pytest.mark.parametrize("code", ["A3", "B3", "D4"])
+def test_cache_save_load_save_is_stable(tmp_path, system, code):
+    # Save, load and save again writes the same bytes: for the full table,
+    # and for a memo of one row, also where that row is not its orbit's
+    # smallest id and the file lists the row read through G instead.
+    W = system(code)
+    full = HeckeAlgebra(W)
+    full.kl_table()
+    memos = [(full, sorted({min(orbit(full, xi)) for xi in range(W.order)}))]  # (memo, ids the file lists)
+    for xi in (W.order - 1, *(xi for xi in range(W.order) if min(orbit(full, xi)) < xi)):
+        a = HeckeAlgebra(W)
+        a._h[xi] = {yi: a._intern(full._polys[i]) for yi, i in full._h[xi].items()}
+        memos.append((a, [min(orbit(full, xi))]))
+    assert len(memos) > 2
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for a, listed in memos:
+        a.save_cache(first)
+        assert [xi for xi, _ in json.loads(first.read_text())["kl"]] == listed
+        b = HeckeAlgebra(W)
+        assert b.load_cache(first)
+        b.save_cache(second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_load_reads_the_orbit_through_checked_tables(tmp_path, system, monkeypatch):
+    # The rows read through G are checked: with a table in G that swaps s1
+    # (length 1) and s2s1 (length 2), the row of s1 read through it is no KL
+    # row of s2s1, and the load raises before it stores anything.  The file
+    # holds the rows of e and s1 alone, so only that check can catch it.
+    W = system("A3")
+    s1, s2s1 = W._id(W.parse_element("s1")), W._id(W.parse_element("s2s1"))
+    A = HeckeAlgebra(W)
+    A._kl_raw(s1)
+    path = tmp_path / "kl.json"
+    A.save_cache(path)
+    assert [xi for xi, _ in json.loads(path.read_text())["kl"]] == [0, s1]
+    g = list(range(W.order))
+    g[s1], g[s2s1] = s2s1, s1
+    monkeypatch.setattr("coxkl.hecke._symmetries", lambda W: [(g, g)])
+    B = HeckeAlgebra(W)
+    with pytest.raises(MalformedKL):
+        B.load_cache(path)
+    assert not B._h
 
 
 def test_cache_save_is_atomic(tmp_path, system, monkeypatch):
@@ -612,7 +726,8 @@ def test_partial_cache_is_extended(tmp_path, system):
 @pytest.mark.parametrize("code", ["B3", "H3"])
 def test_one_row_cache_is_accepted(tmp_path, system, code):
     # With no row of u = sx in the file or the memo, the interval [e, x] that
-    # the row of x must cover is derived from the group.
+    # the row of x must cover is derived from the group.  The load holds the
+    # whole orbit of x, each row as in the full table.
     W = system(code)
     full = HeckeAlgebra(W)
     full.kl_table()
@@ -622,7 +737,10 @@ def test_one_row_cache_is_accepted(tmp_path, system, code):
         a._h[xi] = {yi: a._intern(full._polys[i]) for yi, i in row.items()}
         a.save_cache(path)
         b = HeckeAlgebra(W)
-        assert b.load_cache(path) and kl_digest(b) == kl_digest(a)
+        assert b.load_cache(path) and b.computed_count == 0
+        assert set(b._h) == orbit(full, xi)
+        for zi, got in b._h.items():
+            assert {yi: b._polys[i] for yi, i in got.items()} == {yi: full._polys[i] for yi, i in full._h[zi].items()}
 
 
 def test_malformed_kl_guard(system):
@@ -637,6 +755,24 @@ def test_malformed_kl_guard(system):
     a._h[si] = {xi: a._intern({1: 1}), si: a._intern({0: 1})}
     with pytest.raises(MalformedKL):
         ih_poincare(a, W.parse_element("s"))
+
+
+def test_kl_element_and_peel_check_memo_rows(system):
+    # kl_element and the peel behind to_kl_basis and bott_samelson read whole
+    # memo rows: a tampered h_{s,sts} = v^5 (l(sts) - l(s) = 2) must raise
+    # MalformedKL, not show up as (v^5)H[s] or a wrong coefficient at e.
+    W = system("A2")
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    sts, s = W.parse_element("sts"), W.parse_element("s")
+    A._h[W._id(sts)][W._id(s)] = A._intern({5: 1})
+    for read in (
+        lambda: A.kl_element(sts),
+        lambda: A.to_kl_basis(HeckeElt.standard(W, sts)),
+        lambda: A.bott_samelson([0, 1, 0]),
+    ):
+        with pytest.raises(MalformedKL, match=r"h\(s, sts\)"):
+            read()
 
 
 def test_tampered_memo_raises_malformed_kl(system):
