@@ -330,12 +330,10 @@ class CoxeterSystem:
     def _validate_names(names: Sequence[str] | None, rank: int) -> tuple[str, ...]:
         if names is None:
             return _default_names(rank)
-        if isinstance(names, str):
+        # A list or tuple only: a dict would give its keys, a set its hash-seed order.
+        if not isinstance(names, (list, tuple)):
             raise CoxeterError("generator names must be a list")
-        try:
-            out = tuple(names)
-        except TypeError:
-            raise CoxeterError("generator names must be a list") from None
+        out = tuple(names)
         if len(out) != rank:
             raise CoxeterError(f"expected {rank} generator names, got {len(out)}")
         for name in out:

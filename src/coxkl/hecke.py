@@ -60,7 +60,9 @@ g != 1 in G, and if there is one, the row of x is that row read through g,
 {g^-1(y): h}, sharing its pool indices.  It is checked and counted like any
 computed row.  The id tables of G come from the Cayley tables and are built
 with the algebra.  On A5, 490 of the 720 rows are read this way in id order.
-The cache holds one row per orbit, and a load reads the others through G.
+The cache holds the memo's own form: each polynomial once, and one row per
+orbit as positions in that list over the y of [e, x] in id order.  A load
+rebuilds the y from the group and reads the other rows of the orbit through G.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A3")
@@ -88,7 +90,7 @@ from .laurent import LaurentPoly, _acc, _mac
 
 __all__ = ["MalformedKL", "HeckeElt", "HeckeAlgebra"]
 
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 class MalformedKL(RuntimeError):
@@ -266,14 +268,14 @@ def _kl_class(h: Mapping[int, int], d: int) -> bool:
 
 
 def _saved_entry(pairs) -> dict[int, int]:
-    # A cache entry that is not in the pool, parsed from its saved [[exp, coeff], ...]; _kl_class
-    # judges it when pooled.  A pair that is not two ints raises TypeError or ValueError, as for a
-    # file save_cache never writes; an exponent listed twice is MalformedKL.
+    # A polynomial of a cache's "h", parsed from its saved [[exp, coeff], ...]; _kl_class judges it
+    # when pooled.  A pair that is not two ints raises TypeError or ValueError, as for a file
+    # save_cache never writes; an exponent listed twice is MalformedKL.
     h = dict(pairs)
     if not all(type(e) is int and type(c) is int for e, c in h.items()):
-        raise TypeError(f"cache entry {pairs!r} is not a list of int pairs")
+        raise TypeError(f"cache polynomial {pairs!r} is not a list of int pairs")
     if len(h) != len(pairs):
-        raise MalformedKL(f"cache entry {pairs!r} lists an exponent twice")
+        raise MalformedKL(f"cache polynomial {pairs!r} lists an exponent twice")
     return h
 
 
@@ -481,15 +483,23 @@ class HeckeAlgebra:
     # -- persistence -------------------------------------------------------
 
     def save_cache(self, path) -> None:
-        """Write the memo table as deterministic JSON: one row per orbit of G, rows and entries by id."""
+        """Write the memo table as deterministic JSON: each polynomial once, then one row per orbit of G.
+
+        ``"h"`` lists the distinct polynomials as ``[[exp, coeff], ...]``, numbered by
+        first use in the rows, so the bytes do not depend on the pool's order.  ``"kl"``
+        is ``[[x, [k, ...]], ...]``: for each orbit the memo meets, the row of its
+        smallest id x, read through G when the memo holds another row of the orbit,
+        with the position in ``"h"`` of h_{y,x} for each y of the row in id order.
+        """
         rows: dict[int, Row] = {}  # the smallest id of each orbit the memo meets -> its row
         for xi, row in sorted(self._h.items()):
             g = min((g for g, _ in self._sym), key=lambda g: g[xi])
             if (ri := min(xi, g[xi])) not in rows:  # a held row of the smallest id came first
                 rows[ri] = row if ri == xi else _through(row, g)
-        items = [sorted(h.items()) for h in self._polys]  # read after rows, so it has each index they name
-        kl = [[xi, [[yi, items[i]] for yi, i in sorted(row.items())]] for xi, row in sorted(rows.items())]
-        blob = _dumps({"schema": CACHE_SCHEMA, "coxeter_hash": self.system.fingerprint, "kl": kl})
+        number: dict[int, int] = {}  # pool index -> position in "h", by first use
+        kl = [[xi, [number.setdefault(i, len(number)) for _, i in sorted(row.items())]] for xi, row in sorted(rows.items())]
+        h = [sorted(self._polys[i].items()) for i in number]
+        blob = _dumps({"schema": CACHE_SCHEMA, "coxeter_hash": self.system.fingerprint, "h": h, "kl": kl})
         # A temp file in the same directory and os.replace: a concurrent
         # reader sees the old file or the new one, never a partial write.
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
@@ -503,22 +513,22 @@ class HeckeAlgebra:
                 os.remove(tmp)
 
     def load_cache(self, path) -> bool:
-        """Load a cache file; return False (and load nothing) on mismatch.
+        """Load a cache file written by ``save_cache``; return False (and load nothing) on mismatch.
 
-        ``"kl"`` is ``[[x, [[y, [[exp, coeff], ...]], ...]], ...]``, ids by position
-        in ``all_elements()``.  Missing or unreadable files, another schema or
-        fingerprint and ids outside 0..order-1 return False: stale caches are
-        ignored, never migrated, and so are exponents and coefficients that
-        are not ints (a float, string or boolean).  A row failing the check of
-        computed rows (``_check_row``: P_{y,x}(0) = 1 and no zero coefficient
-        included), whose y are not exactly the Bruhat interval [e, x] or that
-        lists a y twice, a row listed twice, and an entry with an exponent twice
-        raise ``MalformedKL`` before anything is stored.  [e, x] is built from
-        the row of u = sx when the file or the memo holds it, else by
-        ``CoxeterSystem._interval``.  An accepted row gives its G-orbit, read
-        through G and checked by ``_check_row``; a row listed after one of its
-        orbit must equal the row read off it, else ``MalformedKL``.  Loaded
-        entries are pooled like computed ones; none counts as computed.
+        Missing or unreadable files, another schema or fingerprint, an x that
+        is not an int in 0..order-1, a position that names no polynomial of
+        ``"h"`` and a polynomial whose exponents and coefficients are not ints
+        (a float, string or boolean) return False: stale caches are ignored,
+        never migrated.  No y is stored: the y of the row of x are the Bruhat
+        interval [e, x] in id order, built as [e, u] | s[e, u] from the row of
+        u = sx when the file or the memo holds it, else by
+        ``CoxeterSystem._interval``.  Each polynomial is pooled once.  A row
+        whose length is not |[e, x]|, a row listed twice or at an id that is
+        not its orbit's smallest, a polynomial with an exponent twice, and a
+        row failing the check of computed rows (``_check_row``: P_{y,x}(0) = 1
+        and no zero coefficient included) raise ``MalformedKL`` before
+        anything is stored.  An accepted row gives its G-orbit, read through G
+        and checked by ``_check_row``.  None counts as computed.
         """
         W = self.system
         try:
@@ -537,43 +547,26 @@ class HeckeAlgebra:
         if data.get("coxeter_hash") != W.fingerprint:
             return False
         n, left, words = W.order, W._left, W._words
-        pool, intern = self._pool, self._intern
         loaded: dict[int, Row] = {}
-        listed: set[int] = set()
-
-        def index(pairs) -> int:
-            # A pooled entry is found by the pairs as saved; others are built.
-            i = pool.get(tuple(map(tuple, pairs)))
-            return intern(_saved_entry(pairs)) if i is None else i
-
-        def interval(xi: int) -> set[int]:
-            # [e, x] = [e, u] | s[e, u], with s the first letter of x and u = sx,
-            # when u's row is loaded or in the memo; else from the group.
-            if xi:
-                s = words[xi][0]
-                below = loaded.get(left[xi][s]) or self._h.get(left[xi][s])
-                if below is not None:
-                    return {*below, *(left[yi][s] for yi in below)}
-            return W._interval(xi)
-
         try:
-            for xi, entries in data["kl"]:
-                row = {yi: index(pairs) for yi, pairs in entries}
-                if not all(type(i) is int and 0 <= i < n for i in (xi, *row)):
+            index = dict(enumerate(self._intern(_saved_entry(pairs)) for pairs in data["h"]))
+            for xi, ks in data["kl"]:
+                if type(xi) is not int or not 0 <= xi < n:
                     return False
-                if len(row) != len(entries) or xi in listed:
-                    raise MalformedKL(f"the cache lists the row of uH({W.format_element(W._el(xi))}) or a y in it twice")
-                listed.add(xi)
-                if xi in loaded and row != loaded[xi]:  # loaded holds it read through G off its orbit
-                    raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) is not its orbit's read through G")
-                if xi not in loaded:
-                    self._check_row(xi, row)
-                    if row.keys() != interval(xi):
-                        raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")
-                    loaded[xi] = row
-                    for mi, g in {g[xi]: g for g, _ in self._sym if g[xi] != xi}.items():  # the rest of x's orbit
-                        loaded[mi] = self._check_row(mi, _through(row, g))
-        except (KeyError, TypeError, ValueError):
+                # A row read through G is never at its orbit's smallest id, so x in loaded means x was listed.
+                if xi in loaded or any(g[xi] < xi for g, _ in self._sym):
+                    raise MalformedKL(f"the cache lists uH({W.format_element(W._el(xi))}) twice or off its orbit's smallest id")
+                # [e, x] = [e, u] | s[e, u], with s the first letter of x and u = sx, when u's row is
+                # loaded or in the memo; else from the group.
+                s = words[xi][0] if xi else None
+                below = None if s is None else loaded.get(left[xi][s]) or self._h.get(left[xi][s])
+                ys = sorted(W._interval(xi) if below is None else {*below, *(left[yi][s] for yi in below)})
+                if len(ks) != len(ys):
+                    raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")
+                row = loaded[xi] = self._check_row(xi, dict(zip(ys, [index[k] for k in ks])))
+                for mi, g in {g[xi]: g for g, _ in self._sym if g[xi] != xi}.items():  # the rest of x's orbit
+                    loaded[mi] = self._check_row(mi, _through(row, g))
+        except (LookupError, TypeError, ValueError):
             return False
         self._h.update(loaded)
         return True

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import coxkl.cli as cli
-from coxkl.hecke import MalformedKL
+from coxkl.hecke import CACHE_SCHEMA, MalformedKL
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -175,38 +175,48 @@ def test_tampered_cache_exits_2(tmp_path):
 
 
 def test_cache_pairs_that_save_cache_never_writes(tmp_path):
-    # h_{e,sts} = v^3 is saved as [5,[[0,[[3,1]]],...; the same entry with a
-    # float, string or boolean pair is a mismatched cache (a warning, stdout
-    # as without a cache, the file rewritten), and one with a zero coefficient
-    # or listed twice is an inconsistency (exit 2, no stdout, the file untouched).
+    # The A2 table is saved with h_{e,sts} = v^3 as the last polynomial,
+    # [[3,1]], and the row of sts as [5,[3,...]].  That polynomial with a
+    # float, string or boolean pair, or a position that names no polynomial,
+    # is a mismatched cache (a warning, stdout as without a cache, the file
+    # rewritten); a zero coefficient, an exponent twice, a row of the wrong
+    # length, a row listed twice or off its orbit's smallest id is an
+    # inconsistency (exit 2, no stdout, the file untouched).  The other
+    # positions and rows that load_cache refuses are in tests/test_hecke.py.
     from coxkl import CoxeterSystem, HeckeAlgebra
 
+    W = CoxeterSystem.from_type("A2")
     args = ["--type", "A2", "--cmd", "ih", "--x", "sts"]
     status, plain = run_cli(args)
-    a = HeckeAlgebra(CoxeterSystem.from_type("A2"))
+    a = HeckeAlgebra(W)
     a.kl_table()
     a.save_cache(tmp_path / "good.json")
     good = (tmp_path / "good.json").read_text()
-    assert "[5,[[0,[[3,1]]]," in good
-    for entry, mismatched in [
-        ("[0,[[3.0,1]]]", True),
-        ('[0,[["3","1"]]]', True),
-        ("[0,[[3,true]]]", True),
-        ("[0,[[false,1]]]", True),
-        ("[0,[[1,0],[3,1]]]", False),
-        ("[0,[[2,7]]],[0,[[3,1]]]", False),
+    poly, row = ',[[3,1]]],"kl"', "[5,[3,2,2,1,1,0]]"
+    assert poly in good and row in good and "[3,[2,1,1,0]]" in good
+    for old, new, mismatched in [
+        (poly, ',[[3.0,1]]],"kl"', True),
+        (poly, ',[["3","1"]]],"kl"', True),
+        (poly, ',[[3,true]]],"kl"', True),
+        (poly, ',[[false,1]]],"kl"', True),
+        (row, "[5,[-1,2,2,1,1,0]]", True),
+        (poly, ',[[1,0],[3,1]]],"kl"', False),
+        (poly, ',[[3,1],[3,1]]],"kl"', False),
+        (row, "[5,[3,3,2,2,1,1,0]]", False),
+        (row, f"{row},{row}", False),
+        ("[3,[2,1,1,0]]", "[4,[2,1,1,0]]", False),  # ts, the orbit's smallest id is st
     ]:
         cache = tmp_path / "kl.json"
-        cache.write_text(good.replace("[5,[[0,[[3,1]]],", f"[5,[{entry},"))
+        cache.write_text(good.replace(old, new))
         before = cache.read_text()
         status, out, err = run_cli_err([*args, "--cache", str(cache)])
         if mismatched:
-            assert (status, out, err) == (0, plain, f"warning: ignoring mismatched cache {cache}\n"), entry
-            assert cache.read_text() != before and "[5,[[0,[[3,1]]]," in cache.read_text(), entry
+            assert (status, out, err) == (0, plain, f"warning: ignoring mismatched cache {cache}\n"), new
+            assert cache.read_text() != before and HeckeAlgebra(W).load_cache(cache), new
         else:
-            assert (status, out) == (2, ""), entry
-            assert err.startswith("internal inconsistency: "), entry
-            assert cache.read_text() == before, entry
+            assert (status, out) == (2, ""), new
+            assert err.startswith("internal inconsistency: "), new
+            assert cache.read_text() == before, new
 
 
 def test_tampered_cache_exits_2_under_python_O(tmp_path):
@@ -334,7 +344,7 @@ def test_cache_rewritten_only_when_changed(tmp_path):
     status, out, err = run_cli_err([*base, "--cmd", "h", "--y", "e", "--x", "s1"])
     assert (status, out) == (0, "h(e, s1) = v\n")
     assert err == f"warning: ignoring mismatched cache {cache}\n"
-    assert cache.stat().st_mtime_ns != past and json.loads(cache.read_text())["schema"] == 2
+    assert cache.stat().st_mtime_ns != past and json.loads(cache.read_text())["schema"] == CACHE_SCHEMA
 
 
 def test_warm_ih_leaves_an_orbit_compact_cache_untouched(tmp_path):
@@ -368,25 +378,24 @@ def test_cache_env_dir(tmp_path):
 
 
 def test_cache_mismatch_is_warning(tmp_path):
-    # An unreadable cache and a schema-1 file with the right fingerprint are
-    # ignored with a warning, never migrated, and rewritten as schema 2.
+    # An unreadable cache, and a schema-1 or schema-2 file with the right
+    # fingerprint, are ignored with a warning, never migrated, and rewritten
+    # in the current schema.
     from coxkl import CoxeterSystem
 
     args = ["--type", "A2", "--cmd", "ih", "--x", "sts"]
     status, plain = run_cli(args)
     assert (status, plain) == (0, "1 + 2q + 2q^2 + q^3\n")
-    schema_1 = {
-        "schema": 1,
-        "coxeter_hash": CoxeterSystem.from_type("A2").fingerprint,
-        "kl": {"e": {"e": [[0, 1]]}, "s": {"e": [[1, 1]], "s": [[0, 1]]}},
-    }
-    for text in ("{}", json.dumps(schema_1)):
+    fingerprint = CoxeterSystem.from_type("A2").fingerprint
+    schema_1 = {"schema": 1, "coxeter_hash": fingerprint, "kl": {"e": {"e": [[0, 1]]}, "s": {"e": [[1, 1]], "s": [[0, 1]]}}}
+    schema_2 = {"schema": 2, "coxeter_hash": fingerprint, "kl": [[0, [[0, [[0, 1]]]]], [1, [[0, [[1, 1]]], [1, [[0, 1]]]]]]}
+    for text in ("{}", json.dumps(schema_1), json.dumps(schema_2)):
         cache = tmp_path / "kl.json"
         cache.write_text(text)
         status, out, err = run_cli_err([*args, "--cache", str(cache)])
         assert (status, out) == (0, plain), text
         assert err == f"warning: ignoring mismatched cache {cache}\n", text
-        assert json.loads(cache.read_text())["schema"] == 2, text
+        assert json.loads(cache.read_text())["schema"] == CACHE_SCHEMA == 3, text
 
 
 def test_cache_path_not_a_file_is_usage_error(tmp_path):

@@ -85,9 +85,14 @@ def test_bad_matrices():
     for matrix in (5, [5, 6], [[1, "x"], 3]):
         with pytest.raises(CoxeterError):
             CoxeterSystem.from_json({"rank": 2, "matrix": matrix})
-    for names in (5, "ab"):
+    # A string, a dict (its keys) and a set (in hash-seed order) are not lists of names.
+    for names in (5, "ab", {"a": 0, "b": 1}):
         with pytest.raises(CoxeterError, match="generator names must be a list"):
             CoxeterSystem.from_json({"rank": 2, "matrix": [[1, 3], [3, 1]], "names": names})
+    for names in ({"a", "b"}, frozenset("ab"), {"a": 0, "b": 1}):
+        with pytest.raises(CoxeterError, match="generator names must be a list"):
+            CoxeterSystem([[1, 3], [3, 1]], names)
+    assert CoxeterSystem([[1, 3], [3, 1]], ("b", "a")).generator_names == ("b", "a")
     for rank, matrix in (("2", [[1, 3], [3, 1]]), (2.0, [[1, 3], [3, 1]]), (True, [[1]])):
         with pytest.raises(CoxeterError, match="rank must be an int"):
             CoxeterSystem.from_json({"rank": rank, "matrix": matrix})

@@ -525,9 +525,13 @@ def test_cache_roundtrip(tmp_path, system):
         for y in W.all_elements():
             assert a2.h_poly(y, x) == a1.h_poly(y, x)
     assert a2.computed_count == 0
-    # The file lists 13 of the 24 rows, one per orbit of G; the load read the
-    # other 11 through G, with the tables the algebra built.
-    assert [xi for xi, _ in json.loads(path.read_text())["kl"]] == [0, 1, 2, 4, 5, 9, 10, 11, 15, 18, 20, 21, 23]
+    # The file lists the 10 polynomials once each, numbered by first use, and
+    # 13 of the 24 rows, one per orbit of G, as positions over [e, x]; the
+    # load read the other 11 through G, with the tables the algebra built.
+    data = json.loads(path.read_text())
+    assert data["h"][:4] == [[[0, 1]], [[1, 1]], [[2, 1]], [[3, 1]]] and len(data["h"]) == 10
+    assert [xi for xi, _ in data["kl"]] == [0, 1, 2, 4, 5, 9, 10, 11, 15, 18, 20, 21, 23]
+    assert [ks for xi, ks in data["kl"] if xi == 4] == [[2, 1, 1, 0]]
     assert sorted(a2._h) == list(range(W.order))
     assert [g for g, _ in a2._sym] == [g for g, _ in _symmetries(W)]
     a2.save_cache(tmp_path / "kl2.json")
@@ -536,7 +540,7 @@ def test_cache_roundtrip(tmp_path, system):
     # file format without a schema bump must fail here first.
     raw = path.read_bytes()
     assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        1740, "822993fcb2df09b6b449004a8ff308ac0d982beecb33e0e2385e2918acef3f89"
+        537, "9c3ed1dc60d43f6682c20e2a0fc933def2bddba8f69c8d646976e357e7d091a5"
     )
 
 
@@ -547,10 +551,13 @@ def orbit(A, xi):
 
 def save_every_row(A, path):
     """Write the memo of A in the cache format with every row listed, as a
-    save_cache that wrote one row per memo row did."""
-    kl = [[xi, [[yi, sorted(A._polys[i].items())] for yi, i in sorted(row.items())]] for xi, row in sorted(A._h.items())]
-    head = {"schema": CACHE_SCHEMA, "coxeter_hash": A.system.fingerprint, "kl": kl}
-    path.write_text(json.dumps(head, sort_keys=True, separators=(",", ":")) + "\n")
+    save_cache that wrote one row per memo row would."""
+    A.save_cache(path)
+    data = json.loads(path.read_text())
+    number = {}
+    data["kl"] = [[xi, [number.setdefault(i, len(number)) for _, i in sorted(row.items())]] for xi, row in sorted(A._h.items())]
+    data["h"] = [sorted(A._polys[i].items()) for i in number]
+    path.write_text(json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 @pytest.mark.parametrize("group", KL_GOLDEN_GROUPS)
@@ -572,35 +579,42 @@ def test_saved_table_lists_one_row_per_orbit(tmp_path, group):
 
 
 def test_cache_that_lists_every_row(tmp_path, system):
-    # A file with every row listed, as written before one row per orbit, loads
-    # to the same table.  A row of g(x) listed after the row of x must equal
-    # that row read through g: two entries of the row of g(x) at ys of one
-    # length swapped keep it a valid KL row on its own, but not the orbit's.
-    W = system("A3")
-    A = HeckeAlgebra(W)
-    A.kl_table()
-    path = tmp_path / "kl.json"
-    save_every_row(A, path)
-    raw = path.read_bytes()
-    assert (len(raw), hashlib.sha256(raw).hexdigest()) == (
-        2915, "fb8d7a65e6956cd6a6f84e34cd1a7e12c11ce7f784f9229919df3a4a5ced02b1"
-    )
-    B = HeckeAlgebra(W)
-    assert B.load_cache(path) and B.computed_count == 0 and kl_digest(B) == kl_digest(A)
+    # Each row is listed at its orbit's smallest id and the others are read
+    # through G, so a file that lists every row, as caches before schema 3
+    # did, is refused: the first row listed at an id that is not its orbit's
+    # smallest raises MalformedKL, and nothing is stored.
+    for code, first in (("A3", "s3"), ("B3", "s2s1")):
+        W = system(code)
+        A = HeckeAlgebra(W)
+        A.kl_table()
+        assert min(xi for xi in range(W.order) if min(orbit(A, xi)) < xi) == W._id(W.parse_element(first))
+        path = tmp_path / "kl.json"
+        save_every_row(A, path)
+        B = HeckeAlgebra(W)
+        with pytest.raises(MalformedKL, match=f"uH\\({first}\\) twice or off its orbit's smallest id"):
+            B.load_cache(path)
+        assert not B._h
 
-    W = system("B3")
-    A = HeckeAlgebra(W)
-    A.kl_table()
-    x, gx, y1, y2 = (W._id(W.parse_element(w)) for w in ("s2s1s3s2s3", "s3s2s1s3s2", "s1", "s2"))
-    assert gx in orbit(A, x) and gx > x and W._lengths[y1] == W._lengths[y2]
-    row = A._h[gx]
-    assert row[y1] != row[y2]
-    row[y1], row[y2] = row[y2], row[y1]
-    save_every_row(A, path)
-    B = HeckeAlgebra(W)
-    with pytest.raises(MalformedKL, match="s3s2s1s3s2"):
-        B.load_cache(path)
-    assert not B._h
+
+@pytest.mark.parametrize("code", ["A4", "B3"])
+def test_saved_bytes_do_not_depend_on_the_order_rows_were_computed(tmp_path, system, code):
+    # The file numbers its polynomials by first use in the rows it writes, not
+    # by pool index, so a table built row by row in a shuffled order, whose
+    # pool holds the polynomials in another order, saves the same bytes as
+    # one built by kl_table().
+    W = system(code)
+    ref = HeckeAlgebra(W)
+    ref.kl_table()
+    ref.save_cache(tmp_path / "ref.json")
+    xs = list(W.all_elements())
+    random.Random(20261020).shuffle(xs)
+    a = HeckeAlgebra(W)
+    for x in xs:
+        a.kl_element(x)
+    order = [a._pool[tuple(map(tuple, pairs))] for pairs in json.loads((tmp_path / "ref.json").read_text())["h"]]
+    assert order != sorted(order)  # numbered by pool index, this pool would write another "h"
+    a.save_cache(tmp_path / "shuffled.json")
+    assert (tmp_path / "shuffled.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 @pytest.mark.parametrize("code", ["A3", "B3", "D4"])
@@ -690,15 +704,17 @@ def test_cache_mismatch_ignored(tmp_path, system):
     assert not a_a2.load_cache(path)
     assert not a_a2.load_cache(tmp_path / "missing.json")
 
-    # Ids must be ints in 0..order-1; a negative one must not wrap around.
-    head = {"schema": CACHE_SCHEMA, "coxeter_hash": a_a2.system.fingerprint}
+    # An x must be an int in 0..order-1; a negative one must not wrap around.
+    head = {"schema": CACHE_SCHEMA, "coxeter_hash": a_a2.system.fingerprint, "h": [[[0, 1]], [[1, 1]]]}
+    path.write_text(json.dumps({**head, "kl": [[0, [0]], [1, [1, 0]]]}))
+    assert a_a2.load_cache(path) and sorted(a_a2._h) == [0, 1, 2]
+    a_a2 = HeckeAlgebra(system("A2"))
     for kl in (
-        [[-1, [[0, [[3, 1]]], [-1, [[0, 1]]]]]],  # -1 would read as sts
-        [[5, [[-6, [[3, 1]]], [5, [[0, 1]]]]]],  # -6 would read as e
-        [[6, [[0, [[3, 1]]], [6, [[0, 1]]]]]],
-        [["s", [[0, [[1, 1]]], ["s", [[0, 1]]]]]],
-        [[1.0, [[0, [[1, 1]]], [1.0, [[0, 1]]]]]],
-        [[True, [[0, [[1, 1]]], [True, [[0, 1]]]]]],
+        [[-5, [1, 0]]],  # -5 would read as s
+        [[6, [1, 0]]],
+        [["s", [1, 0]]],
+        [[1.0, [1, 0]]],
+        [[True, [1, 0]]],
     ):
         path.write_text(json.dumps({**head, "kl": kl}))
         assert not a_a2.load_cache(path), kl
@@ -830,36 +846,49 @@ def test_load_cache_rejects_malformed_rows(tmp_path, system, x, y, h):
 
 
 def _edit_sts_row(path, edit):
-    # The saved A2 table at path, with edit applied to the row of sts (id 5),
-    # [[y, pairs], ...], whose first entry is h_{e,sts} = v^3, [0, [[3, 1]]].
+    # The saved A2 table at path, with edit(data, row) applied, row the positions of the row of
+    # sts (id 5), whose first is that of h_{e,sts} = v^3, [[3, 1]], and whose last that of 1.
     data = json.loads(path.read_text())
-    (row,) = [entries for xi, entries in data["kl"] if xi == 5]
-    assert row[0] == [0, [[3, 1]]]
-    edit(data["kl"], row)
+    (row,) = [ks for xi, ks in data["kl"] if xi == 5]
+    assert (data["h"][row[0]], data["h"][row[-1]]) == ([[3, 1]], [[0, 1]])
+    edit(data, row)
     path.write_text(json.dumps(data))
 
 
+def _h_e_sts(pairs):
+    # An edit that replaces the saved h_{e,sts} by pairs.
+    return lambda data, row: data["h"].__setitem__(row[0], pairs)
+
+
 CACHE_VARIANTS = {
-    # Pairs save_cache never writes: load_cache returns False, as for an id that is not an int.
-    "float exponent": (lambda kl, row: row[0].__setitem__(1, [[3.0, 1]]), False),
-    "float coefficient": (lambda kl, row: row[0].__setitem__(1, [[3, 1.0]]), False),
-    "strings": (lambda kl, row: row[0].__setitem__(1, [["3", "1"]]), False),
-    "bool coefficient": (lambda kl, row: row[0].__setitem__(1, [[3, True]]), False),
-    "h_xx with a bool exponent": (lambda kl, row: row[-1].__setitem__(1, [[False, 1]]), False),
-    "NaN": (lambda kl, row: row[0].__setitem__(1, [[3, float("nan")]]), False),
+    # Pairs or positions save_cache never writes: load_cache returns False, as for an x that is not an int.
+    "float exponent": (_h_e_sts([[3.0, 1]]), False),
+    "float coefficient": (_h_e_sts([[3, 1.0]]), False),
+    "strings": (_h_e_sts([["3", "1"]]), False),
+    "bool coefficient": (_h_e_sts([[3, True]]), False),
+    "h_xx with a bool exponent": (lambda data, row: data["h"].__setitem__(row[-1], [[False, 1]]), False),
+    "NaN": (_h_e_sts([[3, float("nan")]]), False),
+    "bool position": (lambda data, row: row.__setitem__(0, True), False),
+    "float position": (lambda data, row: row.__setitem__(0, 3.0), False),
+    "string position": (lambda data, row: row.__setitem__(0, "3"), False),
+    "negative position": (lambda data, row: row.__setitem__(0, -1), False),
+    "position out of range": (lambda data, row: row.__setitem__(0, len(data["h"])), False),
     # A wrong polynomial or row: MalformedKL.
-    "zero coefficient": (lambda kl, row: row[0].__setitem__(1, [[1, 0], [3, 1]]), MalformedKL),
-    "exponent twice": (lambda kl, row: row[0].__setitem__(1, [[3, 1], [3, 1]]), MalformedKL),
-    "y twice": (lambda kl, row: row.insert(0, [0, [[2, 7]]]), MalformedKL),
-    "x twice": (lambda kl, row: kl.append([5, row]), MalformedKL),
+    "zero coefficient": (_h_e_sts([[1, 0], [3, 1]]), MalformedKL),
+    "exponent twice": (_h_e_sts([[3, 1], [3, 1]]), MalformedKL),
+    "too many positions": (lambda data, row: row.insert(0, row[0]), MalformedKL),
+    "too few positions": (lambda data, row: row.pop(0), MalformedKL),
+    "x twice": (lambda data, row: data["kl"].append([5, row]), MalformedKL),
+    # t (id 2) shares its orbit with s (id 1), whose row the file lists at 1.
+    "x off its orbit's smallest id": (lambda data, row: next(r for r in data["kl"] if r[0] == 1).__setitem__(0, 2), MalformedKL),
 }
 
 
 @pytest.mark.parametrize("variant", CACHE_VARIANTS)
 def test_load_cache_takes_only_pairs_save_cache_writes(tmp_path, system, variant):
-    # A float or bool pair equals a pooled entry's pairs as a tuple and int()
-    # turns strings into ints, so types are checked; a zero coefficient or a
-    # second entry for one y must not be dropped or win silently.
+    # int() turns strings into ints and True is 1, so types are checked; a
+    # zero coefficient, a row of the wrong length or a second row for one x
+    # must not be dropped or win silently.
     edit, outcome = CACHE_VARIANTS[variant]
     a = HeckeAlgebra(system("A2"))
     a.kl_table()
