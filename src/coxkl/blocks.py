@@ -18,11 +18,11 @@ The two deliverables are
   polynomial ring whose generators sit in degree 2.
 
 ``make_block`` costs one step per element of W and a sort of the cosets by
-the ids of their max reps.  On a warm KL table the two deliverables cost
-what the block needs, not what W needs.  ``andersen_table`` spends
-min(|row of x|, number of cosets up to x) steps on the column of x, and
-``equivariant_hom_series`` |dims| * n_max / 2 steps, one incremental
-binomial each.
+the ids of their max reps.  On a warm KL table the readouts cost what the
+block needs, not what W needs.  ``andersen_table`` spends min(|row of x|,
+number of cosets up to x) steps on the column of x and keeps it as checked
+{row position: pool index}, the form its text and csv render from; and
+``equivariant_hom_series`` spends |dims| * n_max / 2 incremental binomials.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A2")
@@ -32,12 +32,13 @@ binomial each.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterable
 
 from .coxeter import Coset, CoxeterError, CoxeterSystem, Element
-from .hecke import HeckeAlgebra, _dumps, _same_system
+from .hecke import _ONE, HeckeAlgebra, _dumps, _same_system
 
 __all__ = [
     "BlockData",
@@ -101,9 +102,7 @@ def make_block(system: CoxeterSystem, parabolic: Iterable[int]) -> BlockData:
     return BlockData(system, I, w_long, w_iota, system._cosets(I, by_max_rep=True))
 
 
-def andersen_dims(
-    block: BlockData, algebra: HeckeAlgebra, ybar: Coset, xbar: Coset
-) -> dict[int, int]:
+def andersen_dims(block: BlockData, algebra: HeckeAlgebra, ybar: Coset, xbar: Coset) -> dict[int, int]:
     """Graded dimensions {i: dim} of the filtration subquotients for a pair.
 
     Equals {i: h^i_{y,x}} with y, x the longest coset representatives, i
@@ -121,44 +120,75 @@ def total_hom_dim(block: BlockData, algebra: HeckeAlgebra, ybar: Coset, xbar: Co
     return sum(andersen_dims(block, algebra, ybar, xbar).values())
 
 
+class _Cells(Mapping):
+    """An ``andersen_table``'s cells by (row label, column label), kept as each column's
+    {row position: pool index}.  A read hands out fresh {i: dim} dicts, shared by equal cells within one ``items()``."""
+
+    def __init__(self, labels: tuple[str, ...], cols: list[dict[int, int]], polys: list[dict[int, int]]):
+        self._labels, self._cols, self._polys, self._at = labels, cols, polys, dict(zip(labels, range(len(labels))))
+
+    def __len__(self) -> int:
+        return sum(map(len, self._cols))
+
+    def __iter__(self):
+        return (key for key, _ in self.items())
+
+    def __getitem__(self, key: tuple[str, str]) -> dict[int, int]:
+        return dict(sorted(self._polys[self._cols[self._at[key[1]]][self._at[key[0]]]].items()))
+
+    def items(self):
+        labels, polys = self._labels, self._polys
+        copies = {i: dict(sorted(polys[i].items())) for i in set().union(*map(dict.values, self._cols))}
+        for c, col in zip(labels, self._cols):
+            for p, i in col.items():
+                yield (labels[p], c), copies[i]
+
+
 @dataclass(frozen=True)
 class DimTable:
     """A coset-by-coset table of graded dimension maps.
 
-    ``cells`` maps (row label, column label) to {i: dim}, with zero cells
-    omitted; equal cells of one ``andersen_table`` may share a dict.  Labels
-    are the words of the longest coset representatives; ``display_names``
-    carries the symbolic weight names for captions.  Each renderer's Python
-    work is linear in the nonzero cells and formats each distinct cell dict
-    once; text adds one padded ``.`` per empty cell, copied in C.
+    ``cells`` maps (row label, column label) to {i: dim}, zero cells omitted; an
+    ``andersen_table``'s is read-only and hands out fresh copies.  Labels are the words
+    of the longest coset representatives; ``display_names`` carries the weight names.
+    Text and csv read the cells inside the labels by position, transpose them once and
+    format each distinct cell once: Python work linear in the nonzero cells.
     """
 
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     display_names: tuple[str, ...]
-    cells: dict[tuple[str, str], dict[int, int]]
+    cells: Mapping[tuple[str, str], dict[int, int]]
     caption: str
 
-    def _rows(self) -> dict[str, dict[int, dict[int, int]]]:
-        # The nonzero cells inside the labels as {row label: {column position: cell}}.
-        pos: dict[str, list[int]] = {}
-        for j, c in enumerate(self.col_labels):
-            pos.setdefault(c, []).append(j)
-        rows: dict[str, dict[int, dict[int, int]]] = {r: {} for r in self.row_labels}
-        for (r, c), cell in self.cells.items():
-            if cell and r in rows:
-                for j in pos.get(c, ()):
-                    rows[r][j] = cell
-        return rows
+    def _rows(self, fmt) -> tuple[list[dict[int, int]], list[dict[int, int]], dict]:
+        # The nonzero cells inside the labels by key, as each column's {row position: key} and each
+        # row's {column position: key} in column order, and fmt of each distinct cell's sorted items.
+        if isinstance(self.cells, _Cells):
+            cols, polys = self.cells._cols, self.cells._polys
+        else:
+            at: dict[str, list[int]] = {}
+            for p, r in enumerate(self.row_labels):
+                at.setdefault(r, []).append(p)
+            by_label: dict[str, dict[int, int]] = {c: {} for c in self.col_labels}  # a repeated label shares one
+            for k, ((r, c), cell) in enumerate(self.cells.items()):
+                if cell and c in by_label:
+                    by_label[c].update(dict.fromkeys(at.get(r, ()), k))
+            cols, polys = [by_label[c] for c in self.col_labels], list(self.cells.values())
+        rows: list[dict[int, int]] = [{} for _ in self.row_labels]
+        for j, col in enumerate(cols):
+            for p, k in col.items():
+                rows[p][j] = k
+        return cols, rows, {k: fmt(sorted(polys[k].items())) for k in set().union(*map(dict.values, cols))}
 
     def to_json(self) -> str:
-        # What _dumps writes for {"caption", "cells": {"r,c": {str(i): n}}, "cols",
-        # "display_names", "rows"}, with each distinct cell dumped once and the cells joined here.
-        enc = {id(cell): cell for cell in self.cells.values()}
-        enc = {k: _dumps({str(i): n for i, n in cell.items()}) for k, cell in enc.items()}
-        cells = {f"{r},{c}": enc[id(cell)] for (r, c), cell in self.cells.items()}
-        if len(cells) < len(self.cells):  # ("a,b", "c") and ("a", "b,c") print alike: the larger wins
-            cells = {f"{r},{c}": enc[id(self.cells[r, c])] for r, c in sorted(self.cells)}
+        # What _dumps writes for {"caption", "cells": {"r,c": {str(i): n}}, "cols", "display_names", "rows"},
+        # with each distinct cell dict dumped once, by id() (each cell lives while the items are read).
+        done: dict[int, str] = {}
+        dump = lambda c: done.get(id(c)) or done.setdefault(id(c), _dumps({str(i): n for i, n in c.items()}))
+        cells = {f"{r},{c}": dump(cell) for (r, c), cell in self.cells.items()}
+        if len(cells) < len(self.cells):  # ("a,b", "c") and ("a", "b,c"), only in a hand-built dict: the larger wins
+            cells = {f"{r},{c}": done[id(self.cells[r, c])] for r, c in sorted(self.cells)}
         body = ",".join([f"{_dumps(k)}:{cells[k]}" for k in sorted(cells)])
         return (
             f'{{"caption":{_dumps(self.caption)},"cells":{{{body}}},"cols":{_dumps(self.col_labels)},'
@@ -166,32 +196,23 @@ class DimTable:
         )
 
     def to_csv(self) -> str:
-        rows = self._rows()
-        tails = {id(cell): cell for row in rows.values() for cell in row.values()}
-        tails = {k: ["", *(f",{i},{n}" for i, n in sorted(cell.items()))] for k, cell in tails.items()}
+        _, rows, tails = self._rows(lambda items: ["", *(f",{i},{n}" for i, n in items)])
         out = ["row,col,i,dim"]
-        for r in self.row_labels:
-            row = rows[r]
-            for j in sorted(row):  # "\nr,c" before each ",i,dim" of the cell
-                out.append(f"\n{r},{self.col_labels[j]}".join(tails[id(row[j])]))
+        for r, row in zip(self.row_labels, rows):
+            for j, k in row.items():  # "\nr,c" before each ",i,dim" of the cell
+                out.append(f"\n{r},{self.col_labels[j]}".join(tails[k]))
         return "".join(out) + "\n"
 
     def to_text(self) -> str:
-        rows = self._rows()
-        text = {id(cell): cell for row in rows.values() for cell in row.values()}
-        text = {k: "{" + ",".join(f"{i}:{n}" for i, n in sorted(cell.items())) + "}" for k, cell in text.items()}
-        widths = [max(len(c), 1) for c in self.col_labels]
-        for row in rows.values():
-            for j, cell in row.items():
-                if len(text[id(cell)]) > widths[j]:
-                    widths[j] = len(text[id(cell)])
+        cols, rows, text = self._rows(lambda items: "{" + ",".join(f"{i}:{n}" for i, n in items) + "}")
+        widths = [max(len(c), 1, *(len(text[k]) for k in col.values())) for c, col in zip(self.col_labels, cols)]
         head_w = max((len(r) for r in self.row_labels), default=1)
         blank = [".".rjust(w) for w in widths]  # an empty row
         out = [self.caption, " ".join([" " * head_w] + [c.rjust(w) for c, w in zip(self.col_labels, widths)])]
-        for r in self.row_labels:
+        for r, row in zip(self.row_labels, rows):
             line = blank.copy()
-            for j, cell in rows[r].items():
-                line[j] = text[id(cell)].rjust(widths[j])
+            for j, k in row.items():
+                line[j] = text[k].rjust(widths[j])
             out.append(" ".join([r.ljust(head_w), *line]))
         return "\n".join(out) + "\n"
 
@@ -199,44 +220,47 @@ class DimTable:
 def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
     """The full graded dimension table, read off one KL row per column.
 
-    Every y <= x has a smaller id than x, so with the max reps sorted by id
-    the column at position k meets only the first k + 1 of them: it walks
-    the KL row of x when the row has at most k + 1 entries, and otherwise
-    looks those k + 1 ids up in it.
+    Every y <= x has a smaller id than x, so with the max reps sorted by id the column of
+    the k-th of them meets only the first k + 1: it walks the KL row of x when the row has
+    at most k + 1 entries, else looks those k + 1 ids up in it.  It keeps {row position:
+    pool index} in ``block.cosets`` order, checked as by ``andersen_dims`` (``MalformedKL``).
     """
     if not _same_system(algebra.system, block.system):
         raise CoxeterError("algebra and block live over different systems")
     ids = [block._max_id(c) for c in block.cosets]
     labels = tuple(map(block.system._labels.__getitem__, ids))
     names = tuple(map(_weight_name, labels))
-    reps = sorted(zip(ids, labels))
-    label_of = dict(reps)
-    cells: dict[tuple[str, str], dict[int, int]] = {}
-    copies: dict[int, dict[int, int]] = {}  # one copy per pool index
-    polys = algebra._polys
-    for k, (xi, xlab) in enumerate(reps):
-        row = algebra._kl_raw(xi)
-        if len(row) <= k + 1:
-            for yi, i in row.items():
-                ylab = label_of.get(yi)
-                if ylab is not None:
-                    cell = copies.get(i)
-                    if cell is None:
-                        cell = copies[i] = dict(sorted(polys[i].items()))
-                    cells[(ylab, xlab)] = cell
-        else:
-            for yi, ylab in islice(reps, k + 1):
-                i = row.get(yi)
-                if i is not None:
-                    cell = copies.get(i)
-                    if cell is None:
-                        cell = copies[i] = dict(sorted(polys[i].items()))
-                    cells[(ylab, xlab)] = cell
     caption = (
         "graded dims of Hom(Delta(lambda[row]), K(lambda[col])); "
         "lambda[x] = w_long.x.lambda for the coset with longest representative x"
     )
-    return DimTable(row_labels=labels, col_labels=labels, display_names=names, cells=cells, caption=caption)
+    at = {xi: p for p, xi in enumerate(ids)}  # max-rep id -> position
+    if len(at) < len(ids):  # the table of each coset once, placed by label
+        once = andersen_table(replace(block, cosets=tuple(block.cosets[p] for p in sorted(at.values()))), algebra)
+        return DimTable(labels, labels, names, dict(once.cells.items()), caption)
+    order = sorted(at)
+    cols: list[dict[int, int]] = [{}] * len(ids)
+    check, deg, lengths = algebra._check_row, algebra._deg, block.system._lengths
+    for k, xi in enumerate(order):
+        row, col, lx = algebra._kl_raw(xi), {}, lengths[xi]
+        if row.get(xi) != _ONE:
+            check(xi, row)
+        if len(row) <= k + 1:
+            for yi, i in row.items():
+                p = at.get(yi)
+                if p is not None:
+                    if deg[i] != lx - lengths[yi] and yi != xi:
+                        check(xi, {xi: _ONE, yi: i})
+                    col[p] = i
+        else:
+            for yi in islice(order, k + 1):
+                i = row.get(yi)
+                if i is not None:
+                    if deg[i] != lx - lengths[yi] and yi != xi:
+                        check(xi, {xi: _ONE, yi: i})
+                    col[at[yi]] = i
+        cols[at[xi]] = col
+    return DimTable(labels, labels, names, _Cells(labels, cols, algebra._polys), caption)
 
 
 def equivariant_hom_series(

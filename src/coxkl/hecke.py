@@ -320,27 +320,27 @@ class HeckeAlgebra:
         self._polys: list[dict[int, int]] = []
         self._pool: dict[tuple, int] = {}
         self._deg: list[int | None] = []
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         # Pool arithmetic memoized on the indices of its operands.
         self._ops: dict[tuple, int | tuple[int, int]] = {}
         self.computed_count = 0
         self._sym = _symmetries(system)
         self._intern({0: 1})  # index _ONE
 
-    def _intern(self, h: dict[int, int]) -> int:
-        # The pool index of h; a new h is classed here, once.  An index is
-        # published in _pool only after _polys and _deg hold its entry, and
-        # the lock keeps two threads from taking the same one.
+    def _intern(self, h: dict[int, int], new: dict[tuple, int] | None = None) -> int:
+        # The pool index of h; a new h is classed here, once, and published in _pool (in new, for a cache load
+        # holding the lock) only after _polys and _deg hold it.  The lock keeps two threads from one index.
         key = tuple(sorted(h.items()))
         i = self._pool.get(key)
         if i is None:
             with self._lock:
-                i = self._pool.get(key)
+                pool = self._pool if new is None else new
+                i = self._pool.get(key, pool.get(key))
                 if i is None:
                     d = max(h, default=0)
                     self._deg.append(d if _kl_class(h, d) else None)
                     self._polys.append(h)
-                    i = self._pool[key] = len(self._polys) - 1
+                    i = pool[key] = len(self._polys) - 1
         return i
 
     def _check_row(self, xi: int, row: Row) -> Row:
@@ -527,8 +527,8 @@ class HeckeAlgebra:
         not its orbit's smallest, a polynomial with an exponent twice, and a
         row failing the check of computed rows (``_check_row``: P_{y,x}(0) = 1
         and no zero coefficient included) raise ``MalformedKL`` before
-        anything is stored.  An accepted row gives its G-orbit, read through G
-        and checked by ``_check_row``.  None counts as computed.
+        anything is stored, and a refused file leaves the pool as it was.  An accepted
+        row gives its G-orbit, read through G and checked.  None counts as computed.
         """
         W = self.system
         try:
@@ -548,25 +548,31 @@ class HeckeAlgebra:
             return False
         n, left, words = W.order, W._left, W._words
         loaded: dict[int, Row] = {}
-        try:
-            index = dict(enumerate(self._intern(_saved_entry(pairs)) for pairs in data["h"]))
-            for xi, ks in data["kl"]:
-                if type(xi) is not int or not 0 <= xi < n:
-                    return False
-                # A row read through G is never at its orbit's smallest id, so x in loaded means x was listed.
-                if xi in loaded or any(g[xi] < xi for g, _ in self._sym):
-                    raise MalformedKL(f"the cache lists uH({W.format_element(W._el(xi))}) twice or off its orbit's smallest id")
-                # [e, x] = [e, u] | s[e, u], with s the first letter of x and u = sx, when u's row is
-                # loaded or in the memo; else from the group.
-                s = words[xi][0] if xi else None
-                below = None if s is None else loaded.get(left[xi][s]) or self._h.get(left[xi][s])
-                ys = sorted(W._interval(xi) if below is None else {*below, *(left[yi][s] for yi in below)})
-                if len(ks) != len(ys):
-                    raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")
-                row = loaded[xi] = self._check_row(xi, dict(zip(ys, [index[k] for k in ks])))
-                for mi, g in {g[xi]: g for g, _ in self._sym if g[xi] != xi}.items():  # the rest of x's orbit
-                    loaded[mi] = self._check_row(mi, _through(row, g))
-        except (LookupError, TypeError, ValueError):
-            return False
+        with self._lock:  # no other thread pools meanwhile, so a refused load can drop what it pooled
+            n0, new = len(self._polys), {}  # new: this load's polynomials, not in _pool until it is kept
+            try:
+                index = dict(enumerate(self._intern(_saved_entry(pairs), new) for pairs in data["h"]))
+                for xi, ks in data["kl"]:
+                    if type(xi) is not int or not 0 <= xi < n:
+                        return False
+                    # A row read through G is never at its orbit's smallest id, so x in loaded means x was listed.
+                    if xi in loaded or any(g[xi] < xi for g, _ in self._sym):
+                        raise MalformedKL(f"the cache lists uH({W.format_element(W._el(xi))}) twice or off its orbit's smallest id")
+                    # [e, x] = [e, u] | s[e, u], with s the first letter of x and u = sx, when u's row is
+                    # loaded or in the memo; else from the group.
+                    s = words[xi][0] if xi else None
+                    below = None if s is None else loaded.get(left[xi][s]) or self._h.get(left[xi][s])
+                    ys = sorted(W._interval(xi) if below is None else {*below, *(left[yi][s] for yi in below)})
+                    if len(ks) != len(ys):
+                        raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")
+                    row = loaded[xi] = self._check_row(xi, dict(zip(ys, [index[k] for k in ks])))
+                    for mi, g in {g[xi]: g for g, _ in self._sym if g[xi] != xi}.items():  # the rest of x's orbit
+                        loaded[mi] = self._check_row(mi, _through(row, g))
+                self._pool.update(new)
+                n0 = len(self._polys)  # kept: nothing to drop
+            except (LookupError, TypeError, ValueError):
+                return False
+            finally:  # a refused load, False or MalformedKL, drops what it pooled
+                del self._polys[n0:], self._deg[n0:]
         self._h.update(loaded)
         return True

@@ -14,7 +14,7 @@ from coxkl.blocks import (
     total_hom_dim,
 )
 from coxkl.coxeter import Coset, CoxeterError, CoxeterSystem
-from coxkl.hecke import HeckeAlgebra
+from coxkl.hecke import HeckeAlgebra, MalformedKL
 
 from oracles import (
     bar_matrix,
@@ -155,6 +155,7 @@ def test_andersen_table_invariants(code, system, algebra):
             for xc in block.cosets
         }
         assert table.cells == {k: cell for k, cell in reference.items() if cell}
+        assert len(table.cells) == sum(1 for cell in reference.values() if cell)
         labels = {block.label(c): c for c in block.cosets}
         for (rl, cl), cell in table.cells.items():
             y, x = labels[rl].max_rep, labels[cl].max_rep
@@ -189,7 +190,7 @@ def test_andersen_table_matches_the_parabolic_referee(code, system, algebra):
 def test_andersen_table_does_not_depend_on_coset_order(system, algebra):
     # The table finds the cosets below a column by max-rep id, not by their
     # position in block.cosets, so a hand-built block in reverse order reads
-    # the same cells.
+    # the same cells, and renders them in its own order.
     W, A = system("A3"), algebra("A3")
     for I in all_subsets(W.rank):
         block = make_block(W, I)
@@ -197,6 +198,74 @@ def test_andersen_table_does_not_depend_on_coset_order(system, algebra):
         table, table_rev = andersen_table(block, A), andersen_table(reverse, A)
         assert table_rev.row_labels == table.row_labels[::-1]
         assert table_rev.cells == table.cells, I
+        got, want = _renders(table_rev)
+        assert got == want, I
+
+
+def test_andersen_table_of_a_block_that_lists_a_coset_twice(system, algebra):
+    # Each listing of the coset s is a row and a column, filled alike, in the block's order.
+    W, A = system("A2"), algebra("A2")
+    block = make_block(W, [0])
+    c = block.cosets  # max reps s, ts, sts
+    table = andersen_table(BlockData(W, block.parabolic, block.w_long, block.w_iota, (c[1], c[0], c[2], c[0])), A)
+    assert table.cells == {
+        ("s", "s"): {0: 1}, ("ts", "ts"): {0: 1}, ("sts", "sts"): {0: 1},
+        ("s", "ts"): {1: 1}, ("ts", "sts"): {1: 1}, ("s", "sts"): {2: 1},
+    }
+    assert table.to_text().splitlines()[1:] == [
+        "       ts     s   sts     s",
+        "ts  {0:1}     . {1:1}     .",
+        "s   {1:1} {0:1} {2:1} {0:1}",
+        "sts     .     . {0:1}     .",
+        "s   {1:1} {0:1} {2:1} {0:1}",
+    ]
+    assert table.to_csv().split() == [
+        "row,col,i,dim",
+        "ts,ts,0,1", "ts,sts,1,1",
+        "s,ts,1,1", "s,s,0,1", "s,sts,2,1", "s,s,0,1",
+        "sts,sts,0,1",
+        "s,ts,1,1", "s,s,0,1", "s,sts,2,1", "s,s,0,1",
+    ]
+    data = json.loads(table.to_json())
+    assert data["rows"] == data["cols"] == ["ts", "s", "sts", "s"]
+    assert data["cells"] == {
+        "s,s": {"0": 1}, "ts,ts": {"0": 1}, "sts,sts": {"0": 1},
+        "s,ts": {"1": 1}, "ts,sts": {"1": 1}, "s,sts": {"2": 1},
+    }
+    got, want = _renders(table)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "parabolic, x, y, h, match",
+    [
+        # h_{s,sts} = v^5 lies above l(sts) - l(s) = 2; the block of I = {s} has
+        # max reps s, ts and sts, so it keeps the pair (s, sts) too.
+        ([], "sts", "s", {5: 1}, r"h\(s, sts\)"),
+        ([0], "sts", "s", {5: 1}, r"h\(s, sts\)"),
+        ([], "ts", "st", {1: 1}, r"h\(st, ts\)"),  # y as long as x, in a row the table walks
+        ([], "sts", "sts", {2: 1}, "unitriangular"),
+        ([0], "sts", "sts", {2: 1}, "unitriangular"),
+        ([0], "sts", "sts", None, "unitriangular"),  # no diagonal
+    ],
+)
+def test_andersen_table_checks_the_entries_it_reads(parabolic, x, y, h, match, system):
+    # The table reads memo rows as andersen_dims does: a corrupt entry raises MalformedKL.
+    W = system("A2")
+    block = make_block(W, parabolic)
+    xi, yi = W._id(W.parse_element(x)), W._id(W.parse_element(y))
+    A = HeckeAlgebra(W)
+    A.kl_table()
+    A._h[xi] = row = dict(A._h[xi])
+    if h is None:
+        del row[yi]
+    else:
+        row[yi] = A._intern(h)
+    with pytest.raises(MalformedKL, match=match):
+        andersen_table(block, A)
+    if x != y:
+        with pytest.raises(MalformedKL):
+            andersen_dims(block, A, block.coset_of(W._el(yi)), block.coset_of(W._el(xi)))
 
 
 def test_readouts_reject_a_coset_of_another_partition(system, algebra):
@@ -384,7 +453,7 @@ def _renders(table):
     )
 
 
-@pytest.mark.parametrize("code", ["A1", "A2", "B2", "G2", "A3", "B3", "H3", "A4"])
+@pytest.mark.parametrize("code", ["A1", "A2", "B2", "G2", "A3", "B3", "H3", "A4", "D4"])
 def test_renderers_match_the_oracle_on_every_block(code, system, algebra):
     W, A = system(code), algebra(code)
     for I in all_subsets(W.rank):

@@ -904,6 +904,40 @@ def test_load_cache_takes_only_pairs_save_cache_writes(tmp_path, system, variant
         with pytest.raises(outcome):
             b.load_cache(path)
     assert not b._h
+    assert (b._polys, b._deg, b._pool) == ([{0: 1}], [None], {((0, 1),): 0})
+
+
+def test_a_refused_load_leaves_the_pool_as_it_found_it(tmp_path, system):
+    # load_cache pools the file's polynomials before it checks the rows.  A refused
+    # file takes them out again, whether the load returns False or raises
+    # MalformedKL, into a fresh algebra or one that holds part of its table.
+    W = system("A4")
+    full = HeckeAlgebra(W)
+    full.kl_table()
+    path = tmp_path / "kl.json"
+    full.save_cache(path)
+    text = path.read_text()
+    edits = {
+        False: lambda row: row.__setitem__(0, -1),  # a position that names no polynomial
+        MalformedKL: lambda row: row.pop(),  # a row one entry short of [e, x]
+    }
+    for outcome, edit in edits.items():
+        saved = json.loads(text)
+        edit(saved["kl"][-1][1])
+        path.write_text(json.dumps(saved))
+        for computed in ((), ("s1s2s3", "s4s3")):
+            b = HeckeAlgebra(W)
+            for x in computed:
+                b.kl_element(W.parse_element(x))
+            before = (list(b._polys), list(b._deg), dict(b._pool), dict(b._h))
+            if outcome is False:
+                assert b.load_cache(path) is False
+            else:
+                with pytest.raises(MalformedKL):
+                    b.load_cache(path)
+            assert (b._polys, b._deg, b._pool, b._h) == before, (outcome, computed)
+            b.kl_table()
+            assert kl_digest(b) == kl_digest(full)
 
 
 @pytest.mark.parametrize("code", ["A3", "B2"])
@@ -1021,5 +1055,58 @@ def test_concurrent_memoization(system):
             assert len(fresh._polys) == len(fresh._pool) == len(fresh._deg) == len(polys) + 1
             for key, i in fresh._pool.items():
                 assert fresh._polys[i] == dict(key) and fresh._deg[i] == (3 if key[-1] == (3, 1) else None)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_refused_loads_race_with_the_recursion(tmp_path, system):
+    # A refused cache load drops the polynomials it pooled.  Threads that compute
+    # rows meanwhile, switching nearly every bytecode, must never be handed one of
+    # those indices: the table agrees with a single-threaded run and every pool
+    # index maps back to its content.
+    import threading
+
+    W = system("B3")
+    reference = HeckeAlgebra(W)
+    reference.kl_table()
+    path = tmp_path / "kl.json"
+    reference.save_cache(path)
+    saved = json.loads(path.read_text())
+    saved["kl"][-1][1].pop()  # a row one entry short of [e, x]: MalformedKL
+    path.write_text(json.dumps(saved))
+    els = list(W.all_elements())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(3):
+            shared, stop, refused = HeckeAlgebra(W), threading.Event(), []
+
+            def load():
+                while not stop.is_set():
+                    with pytest.raises(MalformedKL):
+                        shared.load_cache(path)
+                    refused.append(1)
+
+            def compute(seed):
+                for x in random.Random(seed).sample(els, len(els)):
+                    shared.kl_element(x)
+
+            loaders = [threading.Thread(target=load) for _ in range(2)]
+            workers = [threading.Thread(target=compute, args=(round_ * 8 + i,)) for i in range(6)]
+            for th in loaders + workers:
+                th.start()
+            for th in workers:
+                th.join(timeout=120)
+            stop.set()
+            for th in loaders:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in loaders + workers)
+            assert refused and len(shared._h) == W.order
+            for xi, row in reference._h.items():
+                assert {yi: shared._polys[i] for yi, i in shared._h[xi].items()} == {
+                    yi: reference._polys[i] for yi, i in row.items()
+                }
+            assert len(shared._polys) == len(shared._pool) == len(shared._deg)
+            assert all(shared._polys[i] == dict(key) for key, i in shared._pool.items())
     finally:
         sys.setswitchinterval(interval)
