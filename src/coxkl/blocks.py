@@ -21,7 +21,7 @@ The two deliverables are
 the ids of their max reps.  On a warm KL table the readouts cost what the
 block needs, not what W needs.  ``andersen_table`` spends min(|row of x|,
 number of cosets up to x) steps on the column of x and keeps it as checked
-{row position: pool index}, the form its text and csv render from; and
+{row position: pool index}, the one form its text, csv and json render from; and
 ``equivariant_hom_series`` spends |dims| * n_max / 2 incremental binomials.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
@@ -55,10 +55,10 @@ __all__ = [
 class BlockData:
     """A singular block: ambient system, parabolic subset and its cosets.
 
-    ``cosets`` is sorted by the id of the maximal representatives, which is
-    their (length, word) order; it fixes the row/column order of every table
-    built from the block.  The readouts raise ``CoxeterError`` on a coset whose
-    max rep some s in I takes up, such as a coset of another partition.
+    ``cosets`` lists each coset once, in the order of its max rep's id, i.e. (length,
+    word); that is every table's row/column order, and ``coset_of`` and ``andersen_table``
+    refuse a block out of it with ``CoxeterError``.  The readouts raise it too on a coset
+    whose max rep some s in I takes up, such as a coset of another partition.
     """
 
     system: CoxeterSystem
@@ -90,9 +90,6 @@ class BlockData:
             if up[s] > i:
                 raise CoxeterError(f"{W.format_element(c.max_rep)} is not the max rep of a coset of this block")
         return i
-
-
-_weight_name = "lambda[{}]".format
 
 
 def make_block(system: CoxeterSystem, parabolic: Iterable[int]) -> BlockData:
@@ -134,25 +131,29 @@ class _Cells(Mapping):
         return (key for key, _ in self.items())
 
     def __getitem__(self, key: tuple[str, str]) -> dict[int, int]:
+        if not (isinstance(key, tuple) and len(key) == 2):  # as a dict keyed by label pairs answers
+            raise KeyError(key)
         return dict(sorted(self._polys[self._cols[self._at[key[1]]][self._at[key[0]]]].items()))
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
     def items(self):
         labels, polys = self._labels, self._polys
         copies = {i: dict(sorted(polys[i].items())) for i in set().union(*map(dict.values, self._cols))}
         for c, col in zip(labels, self._cols):
-            for p, i in col.items():
-                yield (labels[p], c), copies[i]
+            for p in sorted(col):  # by position, whatever order the memo row listed them in
+                yield (labels[p], c), copies[col[p]]
 
 
 @dataclass(frozen=True)
 class DimTable:
-    """A coset-by-coset table of graded dimension maps.
+    """A coset-by-coset table of graded dimension maps, as ``andersen_table`` builds it.
 
-    ``cells`` maps (row label, column label) to {i: dim}, zero cells omitted; an
-    ``andersen_table``'s is read-only and hands out fresh copies.  Labels are the words
-    of the longest coset representatives; ``display_names`` carries the weight names.
-    Text and csv read the cells inside the labels by position, transpose them once and
-    format each distinct cell once: Python work linear in the nonzero cells.
+    ``cells`` maps (row label, column label) to fresh {i: dim} copies, zero cells omitted.
+    It keeps each column's {row position: pool index}, the one form all three renderers read
+    (other cells raise ``TypeError``).  Labels are the words of the longest coset
+    representatives; ``display_names`` carries the weight names.
     """
 
     row_labels: tuple[str, ...]
@@ -161,38 +162,31 @@ class DimTable:
     cells: Mapping[tuple[str, str], dict[int, int]]
     caption: str
 
-    def _rows(self, fmt) -> tuple[list[dict[int, int]], list[dict[int, int]], dict]:
-        # The nonzero cells inside the labels by key, as each column's {row position: key} and each
-        # row's {column position: key} in column order, and fmt of each distinct cell's sorted items.
-        if isinstance(self.cells, _Cells):
-            cols, polys = self.cells._cols, self.cells._polys
-        else:
-            at: dict[str, list[int]] = {}
-            for p, r in enumerate(self.row_labels):
-                at.setdefault(r, []).append(p)
-            by_label: dict[str, dict[int, int]] = {c: {} for c in self.col_labels}  # a repeated label shares one
-            for k, ((r, c), cell) in enumerate(self.cells.items()):
-                if cell and c in by_label:
-                    by_label[c].update(dict.fromkeys(at.get(r, ()), k))
-            cols, polys = [by_label[c] for c in self.col_labels], list(self.cells.values())
+    def __post_init__(self):
+        if not (isinstance(self.cells, _Cells) and self.cells._labels == self.row_labels == self.col_labels):
+            raise TypeError("a DimTable's cells are the positional columns andersen_table builds over its labels")
+
+    def _rows(self, fmt, order=None) -> tuple[list[dict[int, int]], list[dict[int, int]], dict]:
+        # Each column's {row position: pool index}, each row's {column position: pool index} filled
+        # in ``order`` of the columns (default: theirs), and fmt of each distinct cell's sorted items.
+        cols, polys = self.cells._cols, self.cells._polys
         rows: list[dict[int, int]] = [{} for _ in self.row_labels]
-        for j, col in enumerate(cols):
-            for p, k in col.items():
+        for j in range(len(cols)) if order is None else order:
+            for p, k in cols[j].items():
                 rows[p][j] = k
         return cols, rows, {k: fmt(sorted(polys[k].items())) for k in set().union(*map(dict.values, cols))}
 
     def to_json(self) -> str:
-        # What _dumps writes for {"caption", "cells": {"r,c": {str(i): n}}, "cols", "display_names", "rows"},
-        # with each distinct cell dict dumped once, by id() (each cell lives while the items are read).
-        done: dict[int, str] = {}
-        dump = lambda c: done.get(id(c)) or done.setdefault(id(c), _dumps({str(i): n for i, n in c.items()}))
-        cells = {f"{r},{c}": dump(cell) for (r, c), cell in self.cells.items()}
-        if len(cells) < len(self.cells):  # ("a,b", "c") and ("a", "b,c"), only in a hand-built dict: the larger wins
-            cells = {f"{r},{c}": done[id(self.cells[r, c])] for r, c in sorted(self.cells)}
-        body = ",".join([f"{_dumps(k)}:{cells[k]}" for k in sorted(cells)])
+        # What _dumps writes for {"caption", "cells": {"r,c": {str(i): n}}, "cols", "display_names", "rows"}.
+        # Labels hold no comma, so the keys "r,c" sort by r + "," and then by c: rows and columns sorted once.
+        rs, cs = self.row_labels, self.col_labels
+        by_row, by_col = sorted(range(len(rs)), key=lambda p: rs[p] + ","), sorted(range(len(cs)), key=cs.__getitem__)
+        _, rows, cells = self._rows(lambda items: _dumps({str(i): n for i, n in items}), by_col)
+        heads, tails = [_dumps(r + ",")[:-1] for r in rs], [_dumps(c)[1:] + ":" for c in cs]
+        body = ",".join([heads[p] + tails[j] + cells[k] for p in by_row for j, k in rows[p].items()])
         return (
-            f'{{"caption":{_dumps(self.caption)},"cells":{{{body}}},"cols":{_dumps(self.col_labels)},'
-            f'"display_names":{_dumps(self.display_names)},"rows":{_dumps(self.row_labels)}}}'
+            f'{{"caption":{_dumps(self.caption)},"cells":{{{body}}},"cols":{_dumps(cs)},'
+            f'"display_names":{_dumps(self.display_names)},"rows":{_dumps(rs)}}}'
         )
 
     def to_csv(self) -> str:
@@ -220,28 +214,27 @@ class DimTable:
 def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
     """The full graded dimension table, read off one KL row per column.
 
-    Every y <= x has a smaller id than x, so with the max reps sorted by id the column of
-    the k-th of them meets only the first k + 1: it walks the KL row of x when the row has
-    at most k + 1 entries, else looks those k + 1 ids up in it.  It keeps {row position:
-    pool index} in ``block.cosets`` order, checked as by ``andersen_dims`` (``MalformedKL``).
+    The block must list its cosets once each in max-rep id order, else ``CoxeterError``.
+    Every y <= x has a smaller id than x, so the column of the k-th coset meets only the
+    first k + 1: it walks the KL row of x when the row has at most k + 1 entries, else
+    looks those k + 1 ids up in it.  It keeps {row position: pool index}, checked as by
+    ``andersen_dims`` (``MalformedKL``); the table's cells and renderers read that form.
     """
     if not _same_system(algebra.system, block.system):
         raise CoxeterError("algebra and block live over different systems")
     ids = [block._max_id(c) for c in block.cosets]
+    if ids != sorted(set(ids)):
+        raise CoxeterError("the block must list its cosets once each, in max-rep order")
     labels = tuple(map(block.system._labels.__getitem__, ids))
-    names = tuple(map(_weight_name, labels))
+    names = tuple(f"lambda[{r}]" for r in labels)
     caption = (
         "graded dims of Hom(Delta(lambda[row]), K(lambda[col])); "
         "lambda[x] = w_long.x.lambda for the coset with longest representative x"
     )
     at = {xi: p for p, xi in enumerate(ids)}  # max-rep id -> position
-    if len(at) < len(ids):  # the table of each coset once, placed by label
-        once = andersen_table(replace(block, cosets=tuple(block.cosets[p] for p in sorted(at.values()))), algebra)
-        return DimTable(labels, labels, names, dict(once.cells.items()), caption)
-    order = sorted(at)
-    cols: list[dict[int, int]] = [{}] * len(ids)
+    cols: list[dict[int, int]] = []
     check, deg, lengths = algebra._check_row, algebra._deg, block.system._lengths
-    for k, xi in enumerate(order):
+    for k, xi in enumerate(ids):
         row, col, lx = algebra._kl_raw(xi), {}, lengths[xi]
         if row.get(xi) != _ONE:
             check(xi, row)
@@ -253,13 +246,13 @@ def andersen_table(block: BlockData, algebra: HeckeAlgebra) -> DimTable:
                         check(xi, {xi: _ONE, yi: i})
                     col[p] = i
         else:
-            for yi in islice(order, k + 1):
+            for p, yi in enumerate(islice(ids, k + 1)):
                 i = row.get(yi)
                 if i is not None:
                     if deg[i] != lx - lengths[yi] and yi != xi:
                         check(xi, {xi: _ONE, yi: i})
-                    col[at[yi]] = i
-        cols[at[xi]] = col
+                    col[p] = i
+        cols.append(col)
     return DimTable(labels, labels, names, _Cells(labels, cols, algebra._polys), caption)
 
 
@@ -280,10 +273,11 @@ def equivariant_hom_series(
     """
     if rank is None:
         rank = block.system.rank
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    for name, n, low in (("rank", rank, 1), ("n_max", n_max, 0)):
+        if isinstance(n, bool) or not isinstance(n, int):  # a float or a bool would leak into the exact counts
+            raise TypeError(f"{name} must be an int, got {n!r}")
+        if n < low:
+            raise ValueError(f"{name} must be >= {low}, got {n}")
     out = [0] * (n_max + 1)
     for i, c in andersen_dims(block, algebra, ybar, xbar).items():
         # c * M(rank, 2j) at n = i + 2j, with M(r, 2j + 2) = M(r, 2j) * (j + r) / (j + 1) exactly.

@@ -187,53 +187,35 @@ def test_andersen_table_matches_the_parabolic_referee(code, system, algebra):
         assert table.cells == expected, I
 
 
-def test_andersen_table_does_not_depend_on_coset_order(system, algebra):
-    # The table finds the cosets below a column by max-rep id, not by their
-    # position in block.cosets, so a hand-built block in reverse order reads
-    # the same cells, and renders them in its own order.
+def test_andersen_table_refuses_cosets_out_of_max_rep_order(system, algebra):
+    # The table reads the cosets below a column as a prefix of block.cosets, so a
+    # hand-built block in any other order is refused, as coset_of refuses it.  A
+    # subset of the cosets, still in order, is a block of its own and renders.
     W, A = system("A3"), algebra("A3")
     for I in all_subsets(W.rank):
         block = make_block(W, I)
-        reverse = BlockData(block.system, block.parabolic, block.w_long, block.w_iota, block.cosets[::-1])
-        table, table_rev = andersen_table(block, A), andersen_table(reverse, A)
-        assert table_rev.row_labels == table.row_labels[::-1]
-        assert table_rev.cells == table.cells, I
-        got, want = _renders(table_rev)
+        if len(block.cosets) > 1:
+            reverse = BlockData(W, block.parabolic, block.w_long, block.w_iota, block.cosets[::-1])
+            with pytest.raises(CoxeterError, match="once each, in max-rep order"):
+                andersen_table(reverse, A)
+        full = andersen_table(block, A)
+        subset = BlockData(W, block.parabolic, block.w_long, block.w_iota, block.cosets[::2])
+        table = andersen_table(subset, A)
+        assert table.row_labels == full.row_labels[::2]
+        assert table.cells == {(r, c): full.cells[r, c] for r, c in full.cells if {r, c} <= set(table.row_labels)}
+        got, want = _renders(table)
         assert got == want, I
 
 
 def test_andersen_table_of_a_block_that_lists_a_coset_twice(system, algebra):
-    # Each listing of the coset s is a row and a column, filled alike, in the block's order.
+    # Each coset is a row and a column once: a block that lists one twice, next to
+    # itself or apart, is refused, and so is one whose repeat is also out of order.
     W, A = system("A2"), algebra("A2")
     block = make_block(W, [0])
     c = block.cosets  # max reps s, ts, sts
-    table = andersen_table(BlockData(W, block.parabolic, block.w_long, block.w_iota, (c[1], c[0], c[2], c[0])), A)
-    assert table.cells == {
-        ("s", "s"): {0: 1}, ("ts", "ts"): {0: 1}, ("sts", "sts"): {0: 1},
-        ("s", "ts"): {1: 1}, ("ts", "sts"): {1: 1}, ("s", "sts"): {2: 1},
-    }
-    assert table.to_text().splitlines()[1:] == [
-        "       ts     s   sts     s",
-        "ts  {0:1}     . {1:1}     .",
-        "s   {1:1} {0:1} {2:1} {0:1}",
-        "sts     .     . {0:1}     .",
-        "s   {1:1} {0:1} {2:1} {0:1}",
-    ]
-    assert table.to_csv().split() == [
-        "row,col,i,dim",
-        "ts,ts,0,1", "ts,sts,1,1",
-        "s,ts,1,1", "s,s,0,1", "s,sts,2,1", "s,s,0,1",
-        "sts,sts,0,1",
-        "s,ts,1,1", "s,s,0,1", "s,sts,2,1", "s,s,0,1",
-    ]
-    data = json.loads(table.to_json())
-    assert data["rows"] == data["cols"] == ["ts", "s", "sts", "s"]
-    assert data["cells"] == {
-        "s,s": {"0": 1}, "ts,ts": {"0": 1}, "sts,sts": {"0": 1},
-        "s,ts": {"1": 1}, "ts,sts": {"1": 1}, "s,sts": {"2": 1},
-    }
-    got, want = _renders(table)
-    assert got == want
+    for cosets in ((c[0], c[0], c[1], c[2]), (c[0], c[1], c[2], c[0]), (c[1], c[0], c[2], c[0])):
+        with pytest.raises(CoxeterError, match="once each, in max-rep order"):
+            andersen_table(BlockData(W, block.parabolic, block.w_long, block.w_iota, cosets), A)
 
 
 @pytest.mark.parametrize(
@@ -413,6 +395,16 @@ def test_equivariant_validation(system, algebra):
         equivariant_hom_series(block, A, c, c, -1)
     with pytest.raises(ValueError):
         equivariant_hom_series(block, A, c, c, 4, rank=0)
+    # Only an int that is no bool: rank 2.5 used to answer a float count, True to be taken as 1.
+    for n_max, rank in ((2.0, None), (True, None), (4, 2.5), (4, True), (4, "2")):
+        with pytest.raises(TypeError, match="must be an int"):
+            equivariant_hom_series(block, A, c, c, n_max, rank)
+    W, A = system("A2"), algebra("A2")
+    block = make_block(W, [])
+    e, sts = block.cosets[0], block.cosets[-1]
+    with pytest.raises(TypeError, match="rank must be an int, got 2.5"):
+        equivariant_hom_series(block, A, e, sts, 6, rank=2.5)
+    assert equivariant_hom_series(block, A, e, sts, 6, rank=2) == [0, 0, 0, 1, 0, 2, 0]
 
 
 def test_dimtable_serializations(system, algebra):
@@ -461,49 +453,87 @@ def test_renderers_match_the_oracle_on_every_block(code, system, algebra):
         assert got == want, I
 
 
-def _table(rows, cols, cells, caption="caption"):
-    return DimTable(tuple(rows), tuple(cols), tuple(f"lambda[{r}]" for r in rows), cells, caption)
-
-
 @pytest.mark.parametrize(
-    "table",
+    "matrix, names, parabolic, pins",
     [
-        # an empty cell: "." in text, no csv line, {} in json
-        _table(["a", "b"], ["a", "b"], {("a", "a"): {0: 1}, ("a", "b"): {}, ("b", "b"): {0: 1}}),
-        # keys outside the labels, one wider than every cell inside them
-        _table(["a"], ["a"], {("a", "a"): {0: 1}, ("z", "a"): {0: 1, 2: 1, 4: 1}, ("a", "z"): {1: 2}}),
-        # row labels that differ from the column labels, one cell shared by two keys
-        _table(["r1", "r2", "r3"], ["c1", "c2"], {("r3", "c1"): {1: 1}, ("r1", "c2"): {0: 1, 2: 3}}),
-        # an empty row label and an empty column label
-        _table(["", "a"], ["", "a"], {("", ""): {0: 1}, ("", "a"): {1: 1}}),
-        _table(["a"], ["", "a"], {("a", "a"): {0: 1}}),
-        # a label wider than every cell, and multi-digit dimensions and degrees
-        _table(["a", "long_label"], ["long_label", "a"], {("a", "a"): {10: 123}, ("long_label", "a"): {3: -45}}),
-        # cells inserted out of row and column order
-        _table(["a", "b"], ["a", "b"], {("b", "b"): {0: 1}, ("a", "b"): {2: 1, 0: 5}, ("a", "a"): {0: 1}}),
-        # repeated labels
-        _table(["a", "a"], ["a", "b", "a"], {("a", "a"): {0: 1}, ("a", "b"): {1: 1}}),
-        # ("a,b", "c") and ("a", "b,c") share the json key "a,b,c"
-        _table(["a", "a,b"], ["c", "b,c"], {("a,b", "c"): {1: 1}, ("a", "b,c"): {2: 1}}),
         # labels and a caption that json escapes: a quote, a backslash, non-ASCII
-        _table(['q"\\', "ü"], ['q"\\', "ü"], {('q"\\', "ü"): {1: 1}, ("ü", "ü"): {0: 1}}, 'say "ü"\\'),
-        _table(["a"], ["a"], {("a", "a"): {0: 1}}),  # 1x1
-        _table(["a"], ["a"], {}),  # 1x1 and empty
-        _table(["a", "b"], [], {("a", "x"): {0: 1}}),  # no columns
-        _table([], [], {}),  # no rows and no columns
+        pytest.param(
+            ((1, 3), (3, 1)), ['q"\\', "ü"], [], ['"e,q\\"\\\\":{"1":1}', '"\\u00fc,\\u00fc":{"0":1}'],
+            id="json-escapes",
+        ),
+        # '"' sorts before ",": the key a",a" comes before a,a though the row a" comes after a
+        pytest.param(((1, 3), (3, 1)), ['"', "a"], [], ['"a\\",a\\"":{"0":1},"a,\\"a":{"1":1}'], id="quote-names"),
+        # a two-digit degree and labels wider than their cells
+        pytest.param("A4", None, [], ['"e,s1s2s1s3s2s1s4s3s2s1":{"10":1}'], id="a4-regular"),
+        pytest.param("A1", None, [0], ['"cells":{"s,s":{"0":1}}'], id="1x1"),
     ],
 )
-def test_renderers_match_the_oracle_on_hand_built_tables(table):
+def test_renderers_match_the_oracle_on_edge_blocks(matrix, names, parabolic, pins, system, algebra):
+    if isinstance(matrix, str):
+        W, A = system(matrix), algebra(matrix)
+    else:
+        W = CoxeterSystem(matrix, names)
+        A = HeckeAlgebra(W)
+    got, want = _renders(andersen_table(make_block(W, parabolic), A))
+    assert got == want
+    for pin in pins:
+        assert pin in got[2]
+
+
+def test_renderers_on_a_table_with_no_rows(system, algebra):
+    # A block that lists no coset: no rows and no columns, in all three formats.
+    W = system("A2")
+    block = make_block(W, [0])
+    table = andersen_table(BlockData(W, block.parabolic, block.w_long, block.w_iota, ()), algebra("A2"))
+    assert table.row_labels == table.col_labels == () and len(table.cells) == 0
     got, want = _renders(table)
     assert got == want
+    assert got[0] == table.caption + "\n \n"
+    assert got[1] == "row,col,i,dim\n"
 
 
-def test_renderers_on_a_table_with_no_rows():
-    # The oracle's text renderer takes max() over no rows and raises; the
-    # renderers give each column the width of its label, at least 1.
-    table = _table([], ["a", "", "bb"], {("x", "a"): {0: 1}})
-    with pytest.raises(ValueError):
-        dimtable_text(table)
-    assert table.to_text() == "caption\n  a   bb\n"
-    assert table.to_csv() == dimtable_csv(table) == "row,col,i,dim\n"
-    assert table.to_json() == dimtable_json(table)
+def test_a_dimtable_holds_only_the_cells_andersen_table_builds(system, algebra):
+    # The renderers read the cells by position, so a table built from a dict, even of
+    # an andersen_table's own cells, or from those cells under other labels, is refused.
+    table = andersen_table(make_block(system("A2"), [0]), algebra("A2"))
+    labels, names = table.row_labels, table.display_names
+    for cells in ({}, {("s", "s"): {0: 1}}, dict(table.cells.items())):
+        with pytest.raises(TypeError, match="positional columns"):
+            DimTable(labels, labels, names, cells, table.caption)
+    with pytest.raises(TypeError, match="positional columns"):
+        DimTable(labels[::-1], labels[::-1], names[::-1], table.cells, table.caption)
+    assert DimTable(labels, labels, names, table.cells, "another caption").cells == table.cells
+
+
+def test_table_cells_answer_only_label_pairs(system, algebra):
+    # cells answers as a dict of the same cells does: a string, a 1-tuple, a
+    # 3-tuple or a pair outside the labels is no key.
+    table = andersen_table(make_block(system("A1"), []), algebra("A1"))
+    plain = dict(table.cells.items())
+    for key in ("ss", "es", ("s",), ("s", "s", "x"), ("s", "x"), ("s", "e"), ("e", "s")):
+        assert (key in table.cells) is (key in plain), key
+        assert table.cells.get(key) == plain.get(key), key
+    assert table.cells["e", "s"] == {1: 1}
+    with pytest.raises(KeyError):
+        table.cells["ss"]
+
+
+def test_table_repr_prints_its_cells(system, algebra, tmp_path):
+    # The cells by column, then row: the same whether the memo rows were computed or loaded.
+    W = system("A3")
+    computed, loaded = HeckeAlgebra(W), HeckeAlgebra(W)
+    computed.kl_table()
+    computed.save_cache(tmp_path / "kl.json")
+    assert loaded.load_cache(tmp_path / "kl.json")
+    for I in ([], [0]):
+        assert repr(andersen_table(make_block(W, I), loaded)) == repr(andersen_table(make_block(W, I), computed))
+    table = andersen_table(make_block(system("A2"), [0]), HeckeAlgebra(system("A2")))
+    assert repr(table.cells) == repr(dict(table.cells.items()))
+    assert "object at" not in repr(table)
+    assert repr(table) == (
+        "DimTable(row_labels=('s', 'ts', 'sts'), col_labels=('s', 'ts', 'sts'), "
+        "display_names=('lambda[s]', 'lambda[ts]', 'lambda[sts]'), "
+        "cells={('s', 's'): {0: 1}, ('s', 'ts'): {1: 1}, ('ts', 'ts'): {0: 1}, "
+        "('s', 'sts'): {2: 1}, ('ts', 'sts'): {1: 1}, ('sts', 'sts'): {0: 1}}, "
+        f"caption={table.caption!r})"
+    )

@@ -398,24 +398,32 @@ def test_cache_mismatch_is_warning(tmp_path):
         assert json.loads(cache.read_text())["schema"] == CACHE_SCHEMA == 3, text
 
 
-def test_cache_path_not_a_file_is_usage_error(tmp_path):
+def test_cache_path_not_a_file_is_usage_error(tmp_path, monkeypatch):
     # --cache naming a directory, or a path under a regular file, and
     # COXKL_CACHE_DIR naming a regular file exit 1 before any work or output,
-    # with one usage error line, no traceback and no temp file.
+    # with one usage error line, no traceback and no temp file: in a fresh
+    # interpreter and in this one.
     plain = tmp_path / "plain"
     plain.write_text("")
-    args = [sys.executable, "-m", "coxkl", "--type", "A2", "--cmd", "kl", "--y", "e", "--x", "s"]
+    args = ["--type", "A2", "--cmd", "kl", "--y", "e", "--x", "s"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop(cli.CACHE_DIR_ENV, None)
-    for argv, extra in (
-        ([*args, "--cache", str(tmp_path)], {}),
-        ([*args, "--cache", str(plain / "kl.json")], {}),
-        (args, {cli.CACHE_DIR_ENV: str(plain)}),
+    monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
+    for argv, extra, why in (
+        ([*args, "--cache", str(tmp_path)], {}, "is not a regular file"),
+        ([*args, "--cache", str(plain / "kl.json")], {}, "Not a directory"),
+        (args, {cli.CACHE_DIR_ENV: str(plain)}, "Not a directory"),
     ):
-        proc = subprocess.run(argv, capture_output=True, text=True, env={**env, **extra})
+        proc = subprocess.run(
+            [sys.executable, "-m", "coxkl", *argv], capture_output=True, text=True, env={**env, **extra}
+        )
+        with monkeypatch.context() as m:
+            for name, value in extra.items():
+                m.setenv(name, value)
+            assert run_cli_err(argv) == (proc.returncode, proc.stdout, proc.stderr), argv
         assert (proc.returncode, proc.stdout) == (1, ""), argv
         assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, argv
-        assert "Traceback" not in proc.stderr, argv
+        assert "Traceback" not in proc.stderr and proc.stderr.endswith(f"{why}\n"), argv
         assert not [*tmp_path.parent.glob("*.tmp"), *tmp_path.glob("*.tmp")], argv
     assert plain.read_text() == ""
 

@@ -77,6 +77,15 @@ def test_product_requires_same_system(system):
         H(system("A2"), "s") * H(system("B2"), "s")
 
 
+def test_other_operands_are_refused(system):
+    # A float or a string is no Hecke element: == answers False, + and * TypeError.
+    a = H(system("A2"), "s")
+    assert (a == 1.5) is False and a != "x"
+    for op in (lambda: a + "x", lambda: "x" + a, lambda: a * "x", lambda: a * 1.5, lambda: a - 1):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_elements_over_different_systems_do_not_mix(system):
     # Ids of two systems never meet: +, - and * raise and == is false unless
     # the Coxeter matrices and the generator names agree.

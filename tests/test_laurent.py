@@ -118,6 +118,15 @@ def test_bool_iter_and_int_operands():
         LaurentPoly().max_exp
 
 
+def test_other_operands_are_refused():
+    # A float or a string is no Laurent polynomial: == answers False, the ring operations TypeError.
+    p = LaurentPoly({1: 2, -1: 1})
+    assert (p == 1.5) is False and p != "x"
+    for op in (lambda: p + "x", lambda: "x" + p, lambda: p * "x", lambda: p * 1.5, lambda: p ** 1.5):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_ring_properties_random():
     rng = random.Random(20250808)
     for _ in range(300):
