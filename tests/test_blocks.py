@@ -480,16 +480,28 @@ def test_renderers_match_the_oracle_on_edge_blocks(matrix, names, parabolic, pin
         assert pin in got[2]
 
 
+def _hand_built_table(W, A, picks):
+    # The table of A2's block for I = {s} when it lists only the cosets at picks.
+    block = make_block(W, [0])
+    cosets = tuple(block.cosets[i] for i in picks)
+    return andersen_table(BlockData(W, block.parabolic, block.w_long, block.w_iota, cosets), A)
+
+
+# table13: a block that lists no coset, so a table with no rows and no columns.
+@pytest.mark.parametrize("picks", [pytest.param((), id="table13")])
+def test_renderers_match_the_oracle_on_hand_built_tables(picks, system, algebra):
+    got, want = _renders(_hand_built_table(system("A2"), algebra("A2"), picks))
+    assert got == want
+
+
 def test_renderers_on_a_table_with_no_rows(system, algebra):
     # A block that lists no coset: no rows and no columns, in all three formats.
-    W = system("A2")
-    block = make_block(W, [0])
-    table = andersen_table(BlockData(W, block.parabolic, block.w_long, block.w_iota, ()), algebra("A2"))
+    table = _hand_built_table(system("A2"), algebra("A2"), ())
     assert table.row_labels == table.col_labels == () and len(table.cells) == 0
-    got, want = _renders(table)
-    assert got == want
+    got = _renders(table)[0]
     assert got[0] == table.caption + "\n \n"
     assert got[1] == "row,col,i,dim\n"
+    assert json.loads(got[2])["cells"] == {}
 
 
 def test_a_dimtable_holds_only_the_cells_andersen_table_builds(system, algebra):
