@@ -26,8 +26,11 @@ Every step reads and writes the raw form {element id: {exp: coeff}}, which is
 also what a ``HeckeElt`` holds; Elements and ``LaurentPoly`` are built only
 where a public function returns or prints.
 
-KL elements are computed by the standard recursion on the smallest left
-descent and memoized; the memo table can be persisted to a JSON cache keyed
+KL elements are computed by the standard recursion and memoized.  It holds
+for every left descent s of x, so it pivots on the one whose sx has the
+smallest memoized row, which costs the fewest steps, and on the smallest left
+descent when no such row is held; the KL basis is unique, so the row does not
+depend on the choice.  The memo table can be persisted to a JSON cache keyed
 by a hash of the Coxeter matrix and generator order.  The cache is written
 by ``_dumps``, the package's one JSON encoder (keys sorted, no spaces), which
 also writes every JSON line the CLI prints and ``DimTable.to_json``.
@@ -381,10 +384,15 @@ class HeckeAlgebra:
         elif not word:
             res: Row = {xi: _ONE}
         else:
-            # Pivot on the smallest left descent s (the first letter of the
-            # ShortLex word); with u = sx the product uH(s) uH(u) equals
-            # uH(x) + sum of mu(z, u) uH(z) over z < u with sz < z.
-            s = word[0]
+            # For every left descent s of x, with u = sx, the product uH(s) uH(u)
+            # equals uH(x) + sum of mu(z, u) uH(z) over z < u with sz < z, and the
+            # KL basis is unique, so any s gives the same row.  The pairs cost
+            # |row of u| and the corrections follow it, so pivot on the s whose u
+            # has the smallest held row, ties to the smaller s; with none held, on
+            # the smallest left descent, the first letter of the ShortLex word.
+            memo, lx = self._h, lengths[xi]
+            held = [(len(memo[ui]), t) for t, ui in enumerate(left[xi]) if lengths[ui] < lx and ui in memo]
+            s = min(held)[1] if held else word[0]
             C = self._kl_raw(left[xi][s])
             polys, ops, intern = self._polys, self._ops, self._intern
             # T is stored as the row of x: its keys are [e, u] | s[e, u] = [e, x].

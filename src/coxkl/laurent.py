@@ -66,8 +66,8 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1) -> LaurentPoly:
-        """The monomial ``coeff * v^exp``."""
-        return cls({exp: coeff} if coeff else {})
+        """The monomial ``coeff * v^exp``; the constructor checks both and drops a zero."""
+        return cls({exp: coeff})
 
     @classmethod
     def _raw(cls, c: dict[int, int]) -> LaurentPoly:
@@ -130,13 +130,16 @@ class LaurentPoly:
         return LaurentPoly._raw({e: -a for e, a in self._c.items()})
 
     def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
+        if isinstance(other, bool):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: int) -> LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
+        # A bool is no int operand here, as for + and the constructor.
+        if isinstance(other, int) and not isinstance(other, bool):
             if not other:
                 return LaurentPoly._raw({})
             return LaurentPoly._raw({e: a * other for e, a in self._c.items()})
@@ -149,7 +152,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             return NotImplemented
         if n < 0:
             if len(self._c) == 1:
@@ -197,7 +200,7 @@ class LaurentPoly:
     # -- comparison and display -----------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self._c == ({0: other} if other else {})
         if isinstance(other, LaurentPoly):
             return self._c == other._c

@@ -21,8 +21,9 @@ in one pass over each memoized KL row that ``_check_row`` accepts.  The local
 verdict depends only on the (d, h_{y,x}) class of a pair, and in an accepted
 row that class is fixed by the pool index of h_{y,x}; D4 has 60 over its
 9,817 Bruhat pairs.  A table by pool index gives each entry its verdict in
-one lookup, a class new to the audit is judged once, and IP_x is summed once
-per pool index of a row.  The audit keeps the rows of verdicts and
+one lookup, a class new to the audit is judged once, and IP_x, which in an
+accepted row depends only on l(x) and the multiset of its pool indices, is
+summed and judged once per such key.  The audit keeps the rows of verdicts and
 builds a ``LefschetzReport`` for a pair only when it is read.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
@@ -156,19 +157,30 @@ def _local(h: Mapping[int, int], d: int) -> tuple:
 _UNIT = (0, *_local({0: 1}, 0))  # the verdict of y = x, h_{x,x} = 1
 
 
-def _row(algebra: HeckeAlgebra, xi: int, table: dict):
+def _row(algebra: HeckeAlgebra, xi: int, table: dict, sums: dict):
     # The memo row {y: index of h_{y,x}} of uH(x), once _check_row accepts it:
-    # its ys in id order, their verdicts and IP_x.  table maps a pool index to
-    # the verdict of its class, whose d is _deg[i], None only for h_{x,x} = 1.
+    # its ys in id order, their verdicts and (IP_x, whether it is palindromic).
+    # table maps a pool index to the verdict of its class, whose d is _deg[i],
+    # None only for h_{x,x} = 1.  In an accepted row each index fixes l(y) = l(x) - d,
+    # so IP_x depends only on l(x) and the multiset of the row's indices: sums
+    # holds it, and its verdict, under that key.
     row, polys, lx = algebra._check_row(xi, algebra._kl_raw(xi)), algebra._polys, algebra.system._lengths[xi]
-    total: dict[int, int] = {}
-    for i, n in Counter(row.values()).items():
+    counts = Counter(row.values())
+    for i in counts:
         if i not in table:  # a class new to the audit, judged once
             d = algebra._deg[i]
             table[i] = _UNIT if d is None else (d, *_local(polys[i], d))
-        _acc(total, polys[i], table[i][0] - 2 * lx, n)  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
+    key = (lx, frozenset(counts.items()))
+    ih = sums.get(key)
+    if ih is None:
+        total: dict[int, int] = {}
+        for i, n in counts.items():
+            _acc(total, polys[i], table[i][0] - 2 * lx, n)  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
+        c = {-e // 2: a for e, a in total.items()}  # v^e is q^(-e/2)
+        # Palindromic about l(x)/2, on the doubled centre: coefficient j is that of l(x) - j.
+        ih = sums[key] = (LaurentPoly._raw(c), all(a == c.get(lx - j, 0) for j, a in c.items()))
     ys = sorted(row)
-    return ys, [table[row[yi]] for yi in ys], LaurentPoly._raw({-e // 2: c for e, c in total.items()})  # v^e is q^(-e/2)
+    return ys, [table[row[yi]] for yi in ys], ih
 
 
 def local_lefschetz_poly(algebra: HeckeAlgebra, y: Element, x: Element) -> LefschetzReport:
@@ -184,17 +196,15 @@ def ih_poincare(algebra: HeckeAlgebra, x: Element) -> LaurentPoly:
     For x the longest element every P is 1 and this is the length generating
     function of the whole group.
     """
-    return _row(algebra, algebra.system._id(x), {})[2]
+    return _row(algebra, algebra.system._id(x), {}, {})[2][0]
 
 
 def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
     """Run the local check on every comparable pair and the global one everywhere."""
-    W, table = algebra.system, {}
+    W, table, sums = algebra.system, {}, {}
     rows, ih_reports = [], []
-    for xi, x in enumerate(W.all_elements()):
-        ys, verdicts, ip = _row(algebra, xi, table)
+    for xi, (x, label) in enumerate(zip(W.all_elements(), W._labels)):
+        ys, verdicts, ih = _row(algebra, xi, table, sums)
         rows.append((ys, verdicts))
-        # Palindromic about l(x)/2, on the doubled centre: coefficient j is that of l(x) - j.
-        c = ip._c
-        ih_reports.append(IHReport(x, W.format_element(x), ip, all(a == c.get(x.length - j, 0) for j, a in c.items())))
+        ih_reports.append(IHReport(x, label, *ih))
     return AuditResult(tuple(rows), tuple(ih_reports))

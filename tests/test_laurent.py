@@ -119,10 +119,16 @@ def test_bool_iter_and_int_operands():
 
 
 def test_other_operands_are_refused():
-    # A float or a string is no Laurent polynomial: == answers False, the ring operations TypeError.
-    p = LaurentPoly({1: 2, -1: 1})
+    # A float, a string or a bool is no Laurent polynomial: == answers False, the ring operations TypeError.
+    p, one = LaurentPoly({1: 2, -1: 1}), LaurentPoly.one()
     assert (p == 1.5) is False and p != "x"
-    for op in (lambda: p + "x", lambda: "x" + p, lambda: p * "x", lambda: p * 1.5, lambda: p ** 1.5):
+    assert (one == True) is False and (True == one) is False and (LaurentPoly() == False) is False  # noqa: E712
+    assert one == 1 and LaurentPoly() == 0
+    ops = [lambda: p + "x", lambda: "x" + p, lambda: p * "x", lambda: p * 1.5, lambda: p ** 1.5]
+    for b in (True, False):
+        ops += [lambda b=b: p + b, lambda b=b: b + p, lambda b=b: p - b, lambda b=b: b - p, lambda b=b: p * b,
+                lambda b=b: b * p, lambda b=b: p ** b, lambda b=b: LaurentPoly.monomial(0, b)]
+    for op in ops:
         with pytest.raises(TypeError):
             op()
 

@@ -96,6 +96,13 @@ def test_sweep_against_brute_force(group):
     for x in els:
         assert dict(A.kl_element(x).terms) == {y: LaurentPoly(p) for y, p in solved[x].items()}, x
 
+    # Again from a fresh algebra, x by x in a seeded random order: a row pivots
+    # on the left descent s whose sx has the smallest held row, and on the first
+    # letter of x's word when none is held, as for the first x of positive length.
+    B = HeckeAlgebra(W)
+    for x in random.Random(f"row order {group}").sample(els, len(els)):
+        assert dict(B.kl_element(x).terms) == {y: LaurentPoly(p) for y, p in solved[x].items()}, x
+
     # Aut0: the identity first, then each permutation once, acting on words.
     gens = [ids[g] for g in W.generators]
     tables = W._graph_automorphisms()
