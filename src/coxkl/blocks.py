@@ -17,9 +17,9 @@ The two deliverables are
   obtained by convolving those coefficients with the Hilbert series of a
   polynomial ring whose generators sit in degree 2.
 
-``make_block`` costs one step per element of W and a sort of the cosets by
-the ids of their max reps.  On a warm KL table the readouts cost what the
-block needs, not what W needs.  ``andersen_table`` spends min(|row of x|,
+``make_block`` keeps two elements per coset, its min and max reps, found by
+one scan of W in max-rep order.  On a warm KL table the readouts cost what
+the block needs, not what W needs.  ``andersen_table`` spends min(|row of x|,
 number of cosets up to x) steps on the column of x and keeps it as checked
 {row position: pool index}, the one form its text, csv and json render from; and
 ``equivariant_hom_series`` spends |dims| * n_max / 2 incremental binomials.
@@ -95,8 +95,7 @@ class BlockData:
 def make_block(system: CoxeterSystem, parabolic: Iterable[int]) -> BlockData:
     """Assemble the block datum for (W, I)."""
     I = system._check_subset(parabolic)
-    w_long, w_iota = system.longest_element(), system.longest_element(I)
-    return BlockData(system, I, w_long, w_iota, system._cosets(I, by_max_rep=True))
+    return BlockData(system, I, system.longest_element(), system.longest_element(I), system._cosets(I))
 
 
 def andersen_dims(block: BlockData, algebra: HeckeAlgebra, ybar: Coset, xbar: Coset) -> dict[int, int]:

@@ -80,18 +80,12 @@ class Element:
 
 @dataclass(frozen=True)
 class Coset:
-    """A coset ``a * W_I`` of a standard parabolic subgroup.
-
-    ``elements`` is sorted by (length, word); ``min_rep`` and ``max_rep`` are
-    the unique representatives of minimal and maximal length.
-    """
+    """A coset ``a * W_I`` of a standard parabolic subgroup, held as its shortest and
+    longest elements, with ``max_rep = min_rep * w_I``.  Its elements are ``min_rep`` times
+    ``parabolic_elements(I)``; ``a`` lies in it iff ``coset_max_rep(I, a) == max_rep``."""
 
     min_rep: Element
     max_rep: Element
-    elements: tuple[Element, ...]
-
-    def __contains__(self, el: object) -> bool:
-        return el in self.elements
 
 
 # ---------------------------------------------------------------------------
@@ -644,31 +638,27 @@ class CoxeterSystem:
         I = self._check_subset(I)
         return self.multiply(self.coset_max_rep(I, a), self.longest_element(I))
 
-    def _cosets(self, I: tuple[int, ...], by_max_rep: bool = False) -> tuple[Coset, ...]:
-        # An element with a right descent s in I joins the coset of its product
-        # with s, which has a smaller id; one with none is a min rep and starts
-        # a coset.  So the cosets come in min-rep id order, each listing its
-        # ids in (length, word) order, min rep first and max rep last.
-        right, parts, part_of = self._right, [], []
-        for i in range(self.order):
-            for s in I:
-                if right[i][s] < i:
-                    part = part_of[right[i][s]]
-                    break
-            else:
-                parts.append(part := [])
-            part.append(i)
-            part_of.append(part)
-        if by_max_rep:
-            parts.sort(key=lambda ids: ids[-1])
-        els = self._elements
-        return tuple(Coset(els[m[0]], els[m[-1]], tuple(map(els.__getitem__, m))) for m in parts)
+    def _cosets(self, I: tuple[int, ...]) -> tuple[Coset, ...]:
+        # The max reps are the ids with every s in I a right descent, so
+        # filtering the ids once per s lists the cosets in max-rep id order;
+        # each min rep is its max rep times w_I, one step per letter of w_I.
+        right, els, word = self._right, self._elements, self._words[self._ascend(0, I)]
+        ids = range(self.order)
+        for s in I:
+            ids = [i for i in ids if right[i][s] < i]
+        out = []
+        for i in ids:
+            j = i
+            for s in word:
+                j = right[j][s]
+            out.append(Coset(els[j], els[i]))
+        return tuple(out)
 
     def cosets(self, I: Iterable[int]) -> tuple[Coset, ...]:
-        """Partition of the group into cosets a*W_I, sorted by minimal rep, in
-        one step per element: an element a with a right descent s in I lies in
-        the coset of as, and one with none is the min rep of a new coset."""
-        return self._cosets(self._check_subset(I))
+        """Partition of the group into cosets a*W_I, sorted by minimal rep: the
+        max reps are the elements with every s in I as a right descent, and
+        each min rep is its max rep times w_I."""
+        return tuple(sorted(self._cosets(self._check_subset(I)), key=lambda c: c.min_rep.sort_key))
 
     def balanced_poincare(self, I: Iterable[int]) -> LaurentPoly:
         """Sum of v^(l(w_I) - 2 l(z)) over z in W_I; bar-invariant by symmetry."""

@@ -508,9 +508,9 @@ class HeckeAlgebra:
         kl = [[xi, [number.setdefault(i, len(number)) for _, i in sorted(row.items())]] for xi, row in sorted(rows.items())]
         h = [sorted(self._polys[i].items()) for i in number]
         blob = _dumps({"schema": CACHE_SCHEMA, "coxeter_hash": self.system.fingerprint, "h": h, "kl": kl})
-        # A temp file in the same directory and os.replace: a concurrent
-        # reader sees the old file or the new one, never a partial write.
-        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        # A temp file per writer (process and thread) in the same directory, then os.replace:
+        # a reader sees the old file or the new one, and no writer truncates or moves another's.
+        tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.write(blob)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from coxkl.hecke import CACHE_SCHEMA, MalformedKL
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, env_cache=None, monkeypatch=None):
@@ -41,6 +43,20 @@ def run_cli_err(args):
 def _golden_argv(argv):
     # The --matrix file of the golden grid lives next to it.
     return [str(DATA / a) if a == "matrix_a_bb_c.json" else a for a in argv]
+
+
+def test_readme_examples():
+    # Each "$ coxkl ..." line of the README's example block, "| head -N"
+    # included, prints the lines that follow it there.
+    block = README.read_text(encoding="utf-8").split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = [chunk.split("\n", 1) for chunk in block.split("$ coxkl ")[1:]]
+    assert len(examples) == 3
+    for command, shown in examples:
+        argv, _, head = command.partition(" | head -")
+        status, out = run_cli(shlex.split(argv))
+        assert status == 0
+        lines = out.splitlines(keepends=True)
+        assert "".join(lines[: int(head)] if head else lines) == shown, command
 
 
 def test_ih_example():

@@ -352,7 +352,8 @@ def test_cosets_examples(system):
     W = system("A2")
     singletons = W.cosets([])
     assert len(singletons) == 6
-    assert all(len(c.elements) == 1 for c in singletons)
+    assert [c.max_rep for c in singletons] == list(W.all_elements())
+    assert all(c.min_rep == c.max_rep for c in singletons)
     cs = W.cosets([1])
     assert [W.format_element(c.max_rep) for c in cs] == ["t", "st", "sts"]
     assert len(system("A3").cosets([1])) == 12
@@ -376,18 +377,19 @@ def test_coset_partition_properties(code, system):
         assert set(block.cosets) == set(cs)
         seen = set()
         for c in cs:
-            assert len(c.elements) == len(sub)
-            assert [pos[el] for el in c.elements] == sorted(pos[el] for el in c.elements)
-            assert c.min_rep == c.elements[0]
-            assert c.max_rep == c.elements[-1]
+            # The coset's elements, min_rep * W_I, from the parabolic referee.
+            elements = {W.multiply(c.min_rep, z) for z in sub}
+            assert len(elements) == len(sub)
+            assert c.min_rep == min(elements, key=pos.__getitem__)
+            assert c.max_rep == max(elements, key=pos.__getitem__)
             assert c.max_rep.length == c.min_rep.length + sub[-1].length
             assert set(I) <= W.descents(c.max_rep, "right")
             assert not (set(I) & W.descents(c.min_rep, "right"))
-            for el in c.elements:
+            for el in elements:
                 assert W.bruhat_leq(el, c.max_rep)
                 assert W.coset_max_rep(I, el) == c.max_rep
                 assert W.coset_min_rep(I, el) == c.min_rep
-            seen.update(c.elements)
+            seen |= elements
         assert seen == set(W.all_elements())
 
 

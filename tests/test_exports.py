@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +85,21 @@ def test_package_exports_its_modules_all():
     tree = ast.parse(Path(coxkl.__file__).read_text(encoding="utf-8"))
     named = [(n.lineno, a.name) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
     assert all(name == "*" for _, name in named), f"__init__.py imports by name: {named}"
+
+
+def test_package_imports_only_the_standard_library():
+    # The engine is pure stdlib: every module imports the standard library or
+    # its own package, so never the benchmark harness (perfbench), which patches it.
+    src = Path(coxkl.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found = [(n.lineno, a.name) for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        found += [(n.lineno, n.module) for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and not n.level]
+        outside = [(line, name) for line, name in found if name.split(".")[0] not in {*sys.stdlib_module_names, "coxkl"}]
+        assert not outside, f"{path.name} imports from outside the standard library: {outside}"
+        # Nor by name at run time, which the check above cannot see.
+        called = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+                  and (getattr(n.func, "id", None) == "__import__" or getattr(n.func, "attr", None) == "import_module")]
+        assert not called, f"{path.name} imports by name at run time on lines {called}"

@@ -571,6 +571,39 @@ def test_cache_roundtrip(tmp_path, system):
     )
 
 
+def test_threads_saving_one_path_do_not_collide(tmp_path, system):
+    # One temp name per process let a thread rename or remove another's temp
+    # file (FileNotFoundError) or truncate it while it was being moved into place.
+    import threading
+
+    A = HeckeAlgebra(system("A3"))
+    A.kl_table()
+    path, errors = tmp_path / "kl.json", []
+    A.save_cache(tmp_path / "ref.json")
+
+    def save_many():
+        for _ in range(50):
+            try:
+                A.save_cache(path)
+            except OSError as exc:
+                errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=save_many) for _ in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kl.json", "ref.json"]
+
+
 def orbit(A, xi):
     """The orbit of x under the symmetry group G of A, as ids."""
     return {xi, *(g[xi] for g, _ in A._sym)}
