@@ -6,9 +6,10 @@ parabolic subset).  Elements are addressed by concatenated generator names
 ("s2s1s3s2", "e" for the identity); output is deterministic byte-for-byte
 for a fixed configuration, whatever the cache state.
 
-Each command is one function in ``_COMMANDS``.  It computes its data once
-and passes lazy json, csv and text rows to ``_render``, the one place where
-the formats differ, so only the chosen format is ever formatted.
+Each command is one function in ``_COMMANDS``.  It computes its data once and passes lazy
+json, csv and text rows to ``_render``, the one place where the formats differ, so only the
+chosen format is ever formatted.  Once the data is complete (a malformed KL family leaves
+stdout empty), ``run`` writes the lines as they are made; a closed pipe ends it quietly.
 
 Exit status: 0 on success, 1 on a usage error, 2 on an internal
 inconsistency (a malformed KL family or a failed audit check).
@@ -20,7 +21,7 @@ import json
 import os
 import stat
 import sys
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 
 from .blocks import andersen_table, equivariant_hom_series, make_block
 from .coxeter import CoxeterError, CoxeterSystem
@@ -125,11 +126,17 @@ def run(args: argparse.Namespace) -> int:
             if not loaded:
                 print(f"warning: ignoring mismatched cache {cache_path}", file=sys.stderr)
         status, lines = _COMMANDS[args.cmd](args, system, algebra, parabolic)
-        text = "".join(f"{line}\n" for line in lines)
     except MalformedKL as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(text)
+    try:
+        lines = (f"{line}\n" for line in lines)
+        while text := "".join(islice(lines, 4096)):  # a few hundred kB per write, also on unbuffered stdout
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early: stdout goes to devnull, so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
     # An accepted cache to which this run added no row is left as it is.
     if cache_path and (not loaded or algebra.computed_count):
@@ -227,12 +234,11 @@ def _audit(args, system, algebra, parabolic):
         print("internal inconsistency: lefschetz audit failed", file=sys.stderr)
 
     def pairs(split, quote=str):
-        # (head, y, x, tail) per pair: the labels, quoted, and the line of the
-        # pair's verdict split around them, made once per verdict (result keeps it alive).
-        labels, made = [quote(r.x_label) for r in ihs], {}
-        for xi, (ys, verdicts) in enumerate(result.rows):
-            parts = [made.get(id(v)) or made.setdefault(id(v), split(*v)) for v in verdicts]
-            yield from ((head, labels[yi], labels[xi], tail) for yi, (head, tail) in zip(ys, parts))
+        # (head, y, x, tail) per pair, y by id: the labels, quoted, and the line
+        # of the pair's verdict split around them, made once per pool index.
+        labels, parts = [quote(r.x_label) for r in ihs], {i: split(*v) for i, v in result.verdicts.items()}
+        for xi, row in enumerate(result.rows):
+            yield from ((head, labels[yi], labels[xi], tail) for yi in sorted(row) for head, tail in [parts[row[yi]]])
 
     def text(d, poly, *flags):
         return f"{'ok' if all(flags) else 'FAIL'} local (", f") poly={poly.format('q')}"

@@ -23,8 +23,9 @@ row that class is fixed by the pool index of h_{y,x}; D4 has 60 over its
 9,817 Bruhat pairs.  A table by pool index gives each entry its verdict in
 one lookup, a class new to the audit is judged once, and IP_x, which in an
 accepted row depends only on l(x) and the multiset of its pool indices, is
-summed and judged once per such key.  The audit keeps the rows of verdicts and
-builds a ``LefschetzReport`` for a pair only when it is read.
+summed and judged once per such key.  The audit keeps the memo's own rows and
+one verdict per pool index, and builds a ``LefschetzReport`` for a pair only
+when it is read.
 
 >>> from coxkl import CoxeterSystem, HeckeAlgebra
 >>> W = CoxeterSystem.from_type("A3")
@@ -38,7 +39,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import ge, index, le
 from typing import Mapping, NamedTuple
@@ -101,8 +102,9 @@ class IHReport(NamedTuple):
 class _Reports(Sequence):
     # The LefschetzReport of each pair of an audit, x by x and y by id, each
     # built when read; elements and labels come from the IHReport of each id.
-    def __init__(self, rows: tuple, ihs: tuple):
-        self._rows, self._ihs, self._ends = rows, ihs, [0, *accumulate(len(ys) for ys, _ in rows)]
+    def __init__(self, rows: tuple, verdicts: dict, ihs: tuple):
+        self._rows, self._verdicts, self._ihs, self._ends = rows, verdicts, ihs, [0, *accumulate(map(len, rows))]
+        self._ys = lru_cache(1)(lambda xi: sorted(rows[xi]))  # a row read pair by pair is sorted once
 
     def __len__(self) -> int:
         return self._ends[-1]
@@ -110,35 +112,34 @@ class _Reports(Sequence):
     def __getitem__(self, i):
         k = range(len(self))[index(i)]  # negative indices and IndexError as for a tuple
         xi = bisect_right(self._ends, k) - 1
-        ys, verdicts = self._rows[xi]
-        return self._make(ys[k - self._ends[xi]], xi, verdicts[k - self._ends[xi]])
+        return self._make(self._ys(xi)[k - self._ends[xi]], xi)
 
     def __iter__(self):
-        return (self._make(yi, xi, v) for xi, (ys, verdicts) in enumerate(self._rows) for yi, v in zip(ys, verdicts))
+        return (self._make(yi, xi) for xi, row in enumerate(self._rows) for yi in sorted(row))
 
-    def _make(self, yi: int, xi: int, verdict: tuple) -> LefschetzReport:
+    def _make(self, yi: int, xi: int) -> LefschetzReport:
         y, x = self._ihs[yi], self._ihs[xi]
-        return LefschetzReport._make((y.x, x.x, y.x_label, x.x_label) + verdict)
+        return LefschetzReport._make((y.x, x.x, y.x_label, x.x_label) + self._verdicts[self._rows[xi][yi]])
 
 
 @dataclass(frozen=True)
 class AuditResult:
-    """The audit of a group, by element id.  ``rows[x]`` is the ys of the row
-    of x in id order and their verdicts, the (d, poly, palindromic, unimodal,
-    nonneg) tuple shared by every pair of a (d, h_{y,x}) class.  ``reports``
-    is a read-only sequence whose ``LefschetzReport`` records are built when read."""
+    """The audit of a group, by element id.  ``rows[x]`` is the memo's own row {y: pool index of
+    h_{y,x}} of x, shared, not copied; ``verdicts`` maps each of those indices to the (d, poly,
+    palindromic, unimodal, nonneg) verdict of its class.  ``reports`` is a read-only sequence
+    whose ``LefschetzReport`` records are built when read."""
 
-    rows: tuple[tuple[list[int], list[tuple]], ...]
+    rows: tuple[dict[int, int], ...]
+    verdicts: dict[int, tuple]
     ih_reports: tuple[IHReport, ...]
 
     @cached_property
     def reports(self) -> Sequence[LefschetzReport]:
-        return _Reports(self.rows, self.ih_reports)
+        return _Reports(self.rows, self.verdicts, self.ih_reports)
 
     @property
     def passed(self) -> bool:
-        local = all(v[2] and v[3] and v[4] for _, verdicts in self.rows for v in verdicts)
-        return local and all(r.palindromic for r in self.ih_reports)
+        return all(all(v[2:]) for v in self.verdicts.values()) and all(r.palindromic for r in self.ih_reports)
 
 
 def _local(h: Mapping[int, int], d: int) -> tuple:
@@ -157,30 +158,21 @@ def _local(h: Mapping[int, int], d: int) -> tuple:
 _UNIT = (0, *_local({0: 1}, 0))  # the verdict of y = x, h_{x,x} = 1
 
 
-def _row(algebra: HeckeAlgebra, xi: int, table: dict, sums: dict):
-    # The memo row {y: index of h_{y,x}} of uH(x), once _check_row accepts it:
-    # its ys in id order, their verdicts and (IP_x, whether it is palindromic).
-    # table maps a pool index to the verdict of its class, whose d is _deg[i],
-    # None only for h_{x,x} = 1.  In an accepted row each index fixes l(y) = l(x) - d,
-    # so IP_x depends only on l(x) and the multiset of the row's indices: sums
-    # holds it, and its verdict, under that key.
-    row, polys, lx = algebra._check_row(xi, algebra._kl_raw(xi)), algebra._polys, algebra.system._lengths[xi]
-    counts = Counter(row.values())
-    for i in counts:
-        if i not in table:  # a class new to the audit, judged once
-            d = algebra._deg[i]
-            table[i] = _UNIT if d is None else (d, *_local(polys[i], d))
-    key = (lx, frozenset(counts.items()))
-    ih = sums.get(key)
+def _row(algebra: HeckeAlgebra, xi: int, sums: dict):
+    # The memo row {y: index of h_{y,x}} of uH(x) once _check_row accepts it, the count of each index
+    # and (IP_x, whether it is palindromic).  In an accepted row index i fixes d = l(x) - l(y) as _deg[i],
+    # None only for h_{x,x} = 1, so IP_x depends only on l(x) and the row's index multiset, its key in sums.
+    row, polys, deg = algebra._check_row(xi, algebra._kl_raw(xi)), algebra._polys, algebra._deg
+    lx, counts = algebra.system._lengths[xi], Counter(row.values())
+    ih = sums.get(key := (lx, frozenset(counts.items())))
     if ih is None:
         total: dict[int, int] = {}
         for i, n in counts.items():
-            _acc(total, polys[i], table[i][0] - 2 * lx, n)  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
+            _acc(total, polys[i], (deg[i] or 0) - 2 * lx, n)  # IP_x(v^-2) = sum of v^-(l(x)+l(y)) h_{y,x}(v)
         c = {-e // 2: a for e, a in total.items()}  # v^e is q^(-e/2)
         # Palindromic about l(x)/2, on the doubled centre: coefficient j is that of l(x) - j.
         ih = sums[key] = (LaurentPoly._raw(c), all(a == c.get(lx - j, 0) for j, a in c.items()))
-    ys = sorted(row)
-    return ys, [table[row[yi]] for yi in ys], ih
+    return row, counts, ih
 
 
 def local_lefschetz_poly(algebra: HeckeAlgebra, y: Element, x: Element) -> LefschetzReport:
@@ -196,15 +188,17 @@ def ih_poincare(algebra: HeckeAlgebra, x: Element) -> LaurentPoly:
     For x the longest element every P is 1 and this is the length generating
     function of the whole group.
     """
-    return _row(algebra, algebra.system._id(x), {}, {})[2][0]
+    return _row(algebra, algebra.system._id(x), {})[2][0]
 
 
 def lefschetz_audit(algebra: HeckeAlgebra) -> AuditResult:
     """Run the local check on every comparable pair and the global one everywhere."""
-    W, table, sums = algebra.system, {}, {}
+    W, polys, deg, verdicts, sums = algebra.system, algebra._polys, algebra._deg, {}, {}
     rows, ih_reports = [], []
     for xi, (x, label) in enumerate(zip(W.all_elements(), W._labels)):
-        ys, verdicts, ih = _row(algebra, xi, table, sums)
-        rows.append((ys, verdicts))
+        row, counts, ih = _row(algebra, xi, sums)
+        for i in counts.keys() - verdicts.keys():  # a class new to the audit, judged once
+            verdicts[i] = _UNIT if deg[i] is None else (deg[i], *_local(polys[i], deg[i]))
+        rows.append(row)
         ih_reports.append(IHReport(x, label, *ih))
-    return AuditResult(tuple(rows), tuple(ih_reports))
+    return AuditResult(tuple(rows), verdicts, tuple(ih_reports))

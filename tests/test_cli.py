@@ -497,15 +497,15 @@ def test_module_entry_point(tmp_path):
 
 
 def test_failed_audit_exits_2(monkeypatch):
-    # One verdict with nonneg=False fails the audit: exit 2, one line on
-    # stderr, a FAIL line for its pair, and the verdict line ends stdout.
+    # A verdict with nonneg=False for one pool index fails the audit: exit 2,
+    # one line on stderr, a FAIL line for its pair, and the verdict line ends stdout.
     from coxkl import CoxeterSystem, HeckeAlgebra, LaurentPoly
     from coxkl.lefschetz import AuditResult, lefschetz_audit
 
     real = lefschetz_audit(HeckeAlgebra(CoxeterSystem.from_type("A1")))
-    ys, verdicts = real.rows[1]  # the row of s: y = e, then y = s
-    rows = (real.rows[0], (ys, [(1, LaurentPoly.one(), True, True, False), verdicts[1]]))
-    monkeypatch.setattr(cli, "lefschetz_audit", lambda algebra: AuditResult(rows, real.ih_reports))
+    i = real.rows[1][0]  # the pool index of h(e, s) in the row of s
+    verdicts = {**real.verdicts, i: (1, LaurentPoly.one(), True, True, False)}
+    monkeypatch.setattr(cli, "lefschetz_audit", lambda algebra: AuditResult(real.rows, verdicts, real.ih_reports))
     status, out, err = run_cli_err(["--type", "A1", "--cmd", "audit"])
     assert (status, out, err) == (
         2,
@@ -513,3 +513,29 @@ def test_failed_audit_exits_2(monkeypatch):
         "ok ih e poly=1\nok ih s poly=1 + q\naudit: FAIL\n",
         "internal inconsistency: lefschetz audit failed\n",
     )
+
+
+def test_closed_pipe_ends_the_run_quietly():
+    # A reader that takes one line and closes the pipe ends the run: exit 0
+    # and nothing on stderr, though the output (613 kB) is far larger than
+    # the pipe, with stdout buffered or not.
+    env = {k: v for k, v in os.environ.items() if k not in (cli.CACHE_DIR_ENV, "PYTHONUNBUFFERED")}
+    argv = [sys.executable, "-m", "coxkl", "--type", "D4", "--cmd", "audit"]
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env={**env, "PYTHONPATH": str(SRC), **unbuffered}) as proc:
+            assert proc.stdout.readline() == b"ok local (e, e) poly=0\n"
+            proc.stdout.close()
+            assert (proc.wait(timeout=120), proc.stderr.read()) == (0, b""), unbuffered
+
+
+def test_audit_streams_its_lines():
+    # The D5 audit prints 747,298 lines; written as they are made, the run
+    # peaks near its KL table (about 53 MB) rather than at the whole text.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop(cli.CACHE_DIR_ENV, None)
+    code = ("import resource, sys; from coxkl import cli; s = cli.main(['--type', 'D5', '--cmd', 'audit']); "
+            "print(s, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+    status, kib = map(int, proc.stderr.split())
+    assert status == 0 and kib * 1024 < 100e6

@@ -355,9 +355,9 @@ def test_audit_reports_share_one_poly_per_verdict(system):
     result = lefschetz_audit(A)
     lengths = W._lengths
     keys = {(lengths[xi] - lengths[yi], i) for xi, row in A._h.items() for yi, i in row.items()}
-    verdicts = {id(v): v for _, vs in result.rows for v in vs}
-    assert len(result.reports) == sum(len(ys) for ys, _ in result.rows) == 98407
-    assert len(verdicts) == len(keys) == 121
+    verdicts = result.verdicts
+    assert len(result.reports) == sum(map(len, result.rows)) == 98407
+    assert {(v[0], i) for i, v in verdicts.items()} == keys and len(verdicts) == len(keys) == 121
     assert {id(r.poly) for r in result.reports} == {id(v[1]) for v in verdicts.values()}
     # The class the pool records for each index is the class of each of its
     # entries, for all of them but the unit h_{x,x} = 1 at d = 0, which has none.
@@ -367,8 +367,9 @@ def test_audit_reports_share_one_poly_per_verdict(system):
 
 
 def test_audit_builds_no_report_until_one_is_read(system, monkeypatch):
-    # The audit keeps rows of verdicts: neither it nor len(reports) builds a
-    # LefschetzReport, and each record read from reports is built then.
+    # The audit keeps the memo rows and a verdict per pool index: neither it
+    # nor len(reports) builds a LefschetzReport, and each record read from
+    # reports is built then.
     made = []
 
     class Counting(lefschetz.LefschetzReport):
@@ -384,7 +385,7 @@ def test_audit_builds_no_report_until_one_is_read(system, monkeypatch):
     monkeypatch.setattr(lefschetz, "LefschetzReport", Counting)
     W = system("B3")
     result = lefschetz_audit(HeckeAlgebra(W))
-    assert len(result.reports) == sum(len(ys) for ys, _ in result.rows) and not made
+    assert len(result.reports) == sum(map(len, result.rows)) and not made
     assert not any(type(o) is Counting for o in gc.get_objects())
     assert isinstance(result, AuditResult) and result.passed and not made
     first = result.reports[0]
@@ -393,17 +394,16 @@ def test_audit_builds_no_report_until_one_is_read(system, monkeypatch):
 
 
 def test_audit_rows_and_report_view(system, algebra):
-    # rows[x] is the ys of the memo row of x in id order and their verdicts,
-    # the fields of each pair's report after its labels.  The view indexes and
-    # iterates like the tuple of those reports; it takes no slice.
+    # The reports are the pairs of the memo rows, x by x and y by id, each
+    # with the verdict of its pool index as the fields after its labels.  The
+    # view indexes and iterates like the tuple of those reports; it takes no slice.
     W, A = system("H3"), algebra("H3")
     result = lefschetz_audit(A)
     reports = result.reports
     assert result.reports is reports
-    assert [ys for ys, _ in result.rows] == [sorted(A._h[xi]) for xi in range(W.order)]
     expect = tuple(reports)
-    assert [r[4:] for r in expect] == [v for _, vs in result.rows for v in vs]
-    assert [(W._id(r.y), W._id(r.x)) for r in expect] == [(yi, xi) for xi, (ys, _) in enumerate(result.rows) for yi in ys]
+    assert [r[4:] for r in expect] == [result.verdicts[row[yi]] for row in result.rows for yi in sorted(row)]
+    assert [(W._id(r.y), W._id(r.x)) for r in expect] == [(yi, xi) for xi in range(W.order) for yi in sorted(A._h[xi])]
     n = len(reports)
     for k in (0, 1, n // 3, n - 1, -1, -n):
         assert reports[k] == expect[k]
@@ -412,4 +412,18 @@ def test_audit_rows_and_report_view(system, algebra):
     for k in (n, -n - 1):
         with pytest.raises(IndexError):
             reports[k]
-    assert reports.index(expect[17]) == 17 and expect[-1] in reports
+    assert reports.index(expect[17]) == 17 and reports.index(expect[-1]) == n - 1 and expect[-1] in reports
+
+
+def test_audit_rows_are_the_memo_rows(system, monkeypatch):
+    # The audit keeps no copy of the table: rows[x] is the memo's own row of
+    # x.  ih_poincare reads the degrees off the pool and judges no local class.
+    W = system("A5")
+    A = HeckeAlgebra(W)
+    x = W.longest_element()
+    with monkeypatch.context() as m:
+        m.setattr(lefschetz, "_local", None)
+        ih = ih_poincare(A, x)
+    result = lefschetz_audit(A)
+    assert ih == result.ih_reports[W._id(x)].poly
+    assert len(result.rows) == W.order and all(result.rows[xi] is A._h[xi] for xi in range(W.order))
