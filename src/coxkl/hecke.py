@@ -48,8 +48,8 @@ A valid h_{y,x}, y < x, fixes its class (d, h), d = l(x) - l(y): P_{y,x}(0)
 = 1 puts coefficient 1 at v^d and every other exponent lies below d, so
 d = max(h); no coefficient is zero.  A polynomial's class is tested once,
 when it joins the pool, and every row, computed, read through a symmetry
-(below) or loaded, passes ``_check_row`` at one comparison per entry.  A
-single entry is read only through ``_entry``, which checks it the same way.
+(below) or loaded, is checked as ``_check_row`` checks it, at one comparison
+per entry.  A single entry is read only through ``_entry``, checked alike.
 
 The table is invariant under a small group G of symmetries of W:
 h_{y,x} = h_{y^-1,x^-1} (from the anti-involution H_w -> H_{w^-1}) and
@@ -60,9 +60,9 @@ G = <inversion> x Aut0 has 2 elements on B_n (n >= 3) and H_n, 4 on A_n
 (n >= 2), F4 and E6, and 12 on D4.  So a row is computed at most once per
 orbit of G: before recursing, ``_kl_raw`` looks for a memoized row of g(x),
 g != 1 in G, and if there is one, the row of x is that row read through g,
-{g^-1(y): h}, sharing its pool indices.  It is checked and counted like any
-computed row.  The id tables of G come from the Cayley tables and are built
-with the algebra.  On A5, 490 of the 720 rows are read this way in id order.
+{g^-1(y): h}, sharing its pool indices.  ``_through`` relabels and checks it
+in one loop, and it counts as computed.  The id tables of G come from the
+Cayley tables.  On A5, 490 of the 720 rows are read this way in id order.
 The cache holds the memo's own form: each polynomial once, and one row per
 orbit as positions in that list over the y of [e, x] in id order.  A load
 rebuilds the y from the group and reads the other rows of the orbit through G.
@@ -296,11 +296,6 @@ def _symmetries(W: CoxeterSystem) -> list[tuple[list[int], list[int]]]:
     return out
 
 
-def _through(row: Row, t: list[int]) -> Row:
-    # A row of some x read through the id table t of g in G: the row of g(x), sharing its pool indices.
-    return {t[yi]: i for yi, i in row.items()}
-
-
 class HeckeAlgebra:
     """KL basis machinery over one Coxeter system, with a memoized table.
 
@@ -359,6 +354,18 @@ class HeckeAlgebra:
                 raise MalformedKL(f"{h} has a zero coefficient or breaks v*Z[v], the length bound, parity or P(0) = 1")
         return row
 
+    def _through(self, xi: int, row: Row, t: list[int], check: bool = True) -> Row:
+        # The one reader of G's rule: the row of x, read off the row of t^-1(x) through the id table t of some g in G,
+        # checked as it is relabeled (on the new ids' lengths) and, failing, named by _check_row unless check is off.
+        lengths, deg, lx = self.system._lengths, self._deg, self.system._lengths[xi]
+        out, bad = {}, False
+        for yi, i in row.items():
+            zi = t[yi]
+            out[zi] = i
+            if deg[i] != lx - lengths[zi] and zi != xi:
+                bad = True
+        return self._check_row(xi, out) if check and (bad or out.get(xi) != _ONE) else out
+
     def _entry(self, yi: int, xi: int) -> Mapping[int, int]:
         # The one reader of a single h_{y,x}, by ids: its pooled dict, which callers copy, or {}
         # when y is not in the row of x.  An entry present is refused as _check_row would.
@@ -374,59 +381,62 @@ class HeckeAlgebra:
         row = self._h.get(xi)
         if row is not None:
             return row
-        W = self.system
-        left, lengths, word = W._left, W._lengths, W._words[xi]
+        W, memo = self.system, self._h
+        left, word = W._left, W._words[xi]
         # h_{y,x} = h_{g(y),g(x)} for g in G: when the memo holds the row of
-        # some g(x), the row of x is that row read through g.
-        seen = next(((self._h[g[xi]], back) for g, back in self._sym if g[xi] in self._h), None)
-        if seen is not None:
-            res = _through(*seen)
-        elif not word:
-            res: Row = {xi: _ONE}
+        # some g(x), the row of x is that row read through g, checked as it is relabeled.
+        for g, back in self._sym:
+            if g[xi] in memo:
+                res = self._through(xi, memo[g[xi]], back)
+                break
         else:
-            # For every left descent s of x, with u = sx, the product uH(s) uH(u)
-            # equals uH(x) + sum of mu(z, u) uH(z) over z < u with sz < z, and the
-            # KL basis is unique, so any s gives the same row.  The pairs cost
-            # |row of u| and the corrections follow it, so pivot on the s whose u
-            # has the smallest held row, ties to the smaller s; with none held, on
-            # the smallest left descent, the first letter of the ShortLex word.
-            memo, lx = self._h, lengths[xi]
-            held = [(len(memo[ui]), t) for t, ui in enumerate(left[xi]) if lengths[ui] < lx and ui in memo]
-            s = min(held)[1] if held else word[0]
-            C = self._kl_raw(left[xi][s])
-            polys, ops, intern = self._polys, self._ops, self._intern
-            # T is stored as the row of x: its keys are [e, u] | s[e, u] = [e, x].
-            # uH(s) uH(u) on a pair {y, sy} with y < sy depends only on
-            # (h_{y,u}, h_{sy,u}): one memo lookup per pair.  C covers the
-            # lower set [e, u], so each pair is met at y; h_{sy,u} may be 0.
-            T: Row = {}
-            for yi, a in C.items():
-                hi = left[yi][s]
-                if lengths[hi] < lengths[yi]:
-                    continue  # done from its lower element hi
-                b = C.get(hi)
-                got = ops.get((a, b))
-                if got is None:
-                    out = _step(W, {yi: polys[a], hi: {} if b is None else polys[b]}, s, _UH, "left")
-                    got = ops.setdefault((a, b), (intern(out[yi]), intern(out[hi])))
-                T[yi], T[hi] = got
-            for zi, p in C.items():
-                if lengths[left[zi][s]] < lengths[zi]:
-                    m = polys[p].get(1, 0)
-                    if m:
-                        for wi, pw in self._kl_raw(zi).items():
-                            # T[w] -= m h_{w,z}, one memo lookup.
-                            cur = T[wi]
-                            key = (cur, pw, m)
-                            got = ops.get(key)
-                            if got is None:
-                                d = dict(polys[cur])
-                                _acc(d, polys[pw], 0, -m)
-                                got = ops.setdefault(key, intern(d))
-                            T[wi] = got
-            res = T
-        self._check_row(xi, res)
-        self._h[xi] = res
+            if not word:
+                res: Row = {xi: _ONE}
+            else:
+                # For every left descent s of x, with u = sx, the product uH(s) uH(u)
+                # equals uH(x) + sum of mu(z, u) uH(z) over z < u with sz < z, and the
+                # KL basis is unique, so any s gives the same row.  The pairs cost
+                # |row of u| and the corrections follow it, so pivot on the s whose u
+                # has the smallest held row, ties to the smaller s; with none held, on
+                # the smallest left descent, the first letter of the ShortLex word.
+                # As l(sy) = l(y) +- 1 and ids follow (length, ShortLex) order, sy < y as ids iff in length.
+                held = [(len(memo[ui]), t) for t, ui in enumerate(left[xi]) if ui < xi and ui in memo]
+                s = min(held)[1] if held else word[0]
+                C = self._kl_raw(left[xi][s])
+                polys, ops, intern = self._polys, self._ops, self._intern
+                # T is stored as the row of x: its keys are [e, u] | s[e, u] = [e, x].
+                # uH(s) uH(u) on a pair {y, sy} with y < sy depends only on
+                # (h_{y,u}, h_{sy,u}): one memo lookup per pair.  C covers the
+                # lower set [e, u], so each pair is met at y; h_{sy,u} may be 0.
+                # The y with sy < y are the z of the corrections: the same walk
+                # keeps each (z, mu(z, u)) with mu(z, u) != 0, in C's order.
+                T, mus = {}, []
+                for yi, a in C.items():
+                    hi = left[yi][s]
+                    if hi < yi:  # done from its lower element hi
+                        if m := polys[a].get(1):
+                            mus.append((yi, m))
+                        continue
+                    b = C.get(hi)
+                    got = ops.get((a, b))
+                    if got is None:
+                        out = _step(W, {yi: polys[a], hi: {} if b is None else polys[b]}, s, _UH, "left")
+                        got = ops.setdefault((a, b), (intern(out[yi]), intern(out[hi])))
+                    T[yi], T[hi] = got
+                for zi, m in mus:
+                    for wi, pw in self._kl_raw(zi).items():
+                        # T[w] -= m h_{w,z}, one memo lookup.
+                        cur = T[wi]
+                        key = (cur, pw, m)
+                        got = ops.get(key)
+                        if got is None:
+                            d = dict(polys[cur])
+                            _acc(d, polys[pw], 0, -m)
+                            got = ops.setdefault(key, intern(d))
+                        T[wi] = got
+                res = T
+            self._check_row(xi, res)
+        memo[xi] = res
         self.computed_count += 1
         return res
 
@@ -503,7 +513,7 @@ class HeckeAlgebra:
         for xi, row in sorted(self._h.items()):
             g = min((g for g, _ in self._sym), key=lambda g: g[xi])
             if (ri := min(xi, g[xi])) not in rows:  # a held row of the smallest id came first
-                rows[ri] = row if ri == xi else _through(row, g)
+                rows[ri] = row if ri == xi else self._through(ri, row, g, check=False)  # as held
         number: dict[int, int] = {}  # pool index -> position in "h", by first use
         kl = [[xi, [number.setdefault(i, len(number)) for _, i in sorted(row.items())]] for xi, row in sorted(rows.items())]
         h = [sorted(self._polys[i].items()) for i in number]
@@ -575,7 +585,7 @@ class HeckeAlgebra:
                         raise MalformedKL(f"the row of uH({W.format_element(W._el(xi))}) must cover exactly [e, x]")
                     row = loaded[xi] = self._check_row(xi, dict(zip(ys, [index[k] for k in ks])))
                     for mi, g in {g[xi]: g for g, _ in self._sym if g[xi] != xi}.items():  # the rest of x's orbit
-                        loaded[mi] = self._check_row(mi, _through(row, g))
+                        loaded[mi] = self._through(mi, row, g)
                 self._pool.update(new)
                 n0 = len(self._polys)  # kept: nothing to drop
             except (LookupError, TypeError, ValueError):

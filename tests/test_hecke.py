@@ -359,6 +359,63 @@ def test_rows_need_p0_one(system):
     assert ts not in A._h
 
 
+def test_the_recursion_reads_the_orbit_through_checked_tables(system, monkeypatch):
+    # The recursion's twin of test_load_reads_the_orbit_through_checked_tables:
+    # with a table in G that swaps s1 (length 1) and s2s1 (length 2), the row
+    # of s2s1 read off the row of s1 is no KL row.  It raises what _check_row
+    # raises on the relabeled row, and nothing is stored.
+    W = system("A3")
+    s1, s2s1 = W._id(W.parse_element("s1")), W._id(W.parse_element("s2s1"))
+    g = list(range(W.order))
+    g[s1], g[s2s1] = s2s1, s1
+    monkeypatch.setattr("coxkl.hecke._symmetries", lambda W: [(g, g)])
+    A = HeckeAlgebra(W)
+    A._kl_raw(s1)
+    held = dict(A._h)
+    with pytest.raises(MalformedKL) as got:
+        A._kl_raw(s2s1)
+    with pytest.raises(MalformedKL) as want:
+        A._check_row(s2s1, {g[yi]: i for yi, i in A._h[s1].items()})
+    assert str(got.value) == str(want.value)
+    assert A._h == held
+
+
+def test_orbit_rows_are_checked_on_the_lengths_of_their_new_ids(system, monkeypatch):
+    # A table in G that swaps s1 with s2s1 and s1s2 with s3s2 maps the row of
+    # s1s2 onto one of s3s2 in which h(s2s1, s3s2) = v, the old h(s1, s1s2).
+    # Only the length of s2s1, the new id, shows that it breaks the degree.
+    W = system("A3")
+    s1, s2s1, s1s2, s3s2 = (W._id(W.parse_element(w)) for w in ("s1", "s2s1", "s1s2", "s3s2"))
+    g = list(range(W.order))
+    g[s1], g[s2s1], g[s1s2], g[s3s2] = s2s1, s1, s3s2, s1s2
+    monkeypatch.setattr("coxkl.hecke._symmetries", lambda W: [(g, g)])
+    A = HeckeAlgebra(W)
+    A._kl_raw(s1s2)
+    with pytest.raises(MalformedKL, match=r"^h\(s2s1, s3s2\) "):
+        A._kl_raw(s3s2)
+    assert s3s2 not in A._h
+
+
+def test_rows_read_through_a_diagram_automorphism_are_checked(system):
+    # On D4, s3s2 is s1s2 under the diagram automorphisms that send s1 to s3,
+    # and under no other element of G; its inverse is s2s3.  With the rows of
+    # e, s2 and s1s2 held, a tampered h(e, s1s2) = v^5 makes the row of s3s2
+    # raise what _check_row raises on the relabeled row.
+    W = system("D4")
+    A = HeckeAlgebra(W)
+    s1s2, s3s2 = W._id(W.parse_element("s1s2")), W._id(W.parse_element("s3s2"))
+    A._kl_raw(s1s2)
+    assert {g[s3s2] for g, _ in A._sym} & set(A._h) == {s1s2} and W._inv[s3s2] != s1s2
+    A._h[s1s2][0] = A._intern({5: 1})
+    back = next(back for g, back in A._sym if g[s3s2] == s1s2)
+    with pytest.raises(MalformedKL) as got:
+        A._kl_raw(s3s2)
+    with pytest.raises(MalformedKL) as want:
+        A._check_row(s3s2, {back[yi]: i for yi, i in A._h[s1s2].items()})
+    assert str(got.value) == str(want.value) and "h(e, s3s2)" in str(got.value)
+    assert s3s2 not in A._h
+
+
 def test_derived_rows_share_the_pool(system):
     # Rows read through a symmetry count as computed and reuse the pool
     # indices of the row they are read from.
@@ -389,6 +446,27 @@ def test_rows_pivot_on_the_smallest_held_row(system, code, bound):
     A = HeckeAlgebra(system(code))
     A.kl_table()
     assert len(A._ops) <= bound
+
+
+@pytest.mark.parametrize(
+    "code, work",
+    [
+        ("A4", (120, 38, 48)),
+        ("H3", (120, 274, 452)),
+        ("D4", (192, 75, 116)),
+        ("B4", (384, 432, 907)),
+        ("A5", (720, 172, 316)),
+        ("F4", (1152, 5191, 11263)),
+    ],
+)
+def test_the_recursion_pools_a_fixed_set(system, code, work):
+    # (computed_count, pool, _ops) after a cold table.  The pair loop reads
+    # each mu(z, u) of the corrections on its way, and that must not intern
+    # one polynomial more or less than a second walk of the row of u did.
+    # Dropping _ops (ROADMAP item 10) will change these numbers on purpose.
+    A = HeckeAlgebra(system(code))
+    A.kl_table()
+    assert (A.computed_count, len(A._polys), len(A._ops)) == work
 
 
 def test_a_lone_row_computes_no_row_to_choose_its_pivot(system):
