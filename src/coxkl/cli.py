@@ -41,16 +41,17 @@ class UsageError(ValueError):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="coxkl",
-        description="Exact Kazhdan-Lusztig data for finite Coxeter groups.",
-        exit_on_error=False,
+        description=f"Exact Kazhdan-Lusztig data for finite Coxeter groups, cached in ${CACHE_DIR_ENV}/<fingerprint>.json if set.",
     )
+    def error(message):  # every parse error, on every Python: one usage error line
+        raise UsageError(message)
+    p.error = error
     g = p.add_mutually_exclusive_group()
     g.add_argument("--type", dest="group_type", metavar="CODE", help="built-in type code, e.g. A3, B2, H3")
     g.add_argument("--matrix", dest="matrix_file", metavar="FILE", help="JSON Coxeter matrix file")
     p.add_argument("--cmd", required=True, choices=COMMANDS, help="command to run")
     p.add_argument("--parabolic", default="", metavar="NAMES", help="comma-separated generator names for W_I")
     p.add_argument("--format", dest="fmt", default="text", choices=FORMATS)
-    p.add_argument("--cache", metavar="FILE", help=f"KL cache file (default: ${CACHE_DIR_ENV}/<hash>.json when set)")
     p.add_argument("--rank", type=int, help="polynomial-ring rank override for --cmd equivariant")
     p.add_argument("--n-max", dest="n_max", type=int, default=12, help="top degree for --cmd equivariant")
     p.add_argument("--y", help="element word (row side)")
@@ -70,14 +71,12 @@ def _build_system(args: argparse.Namespace) -> CoxeterSystem:
     raise UsageError("one of --type or --matrix is required")
 
 
-def _cache_path(args: argparse.Namespace, system: CoxeterSystem) -> tuple[str | None, bool]:
-    # The KL cache file of this run, if any, and whether it exists.  A path that
-    # exists but is no regular file, or lies under a non-directory, is a usage error.
-    path = args.cache
-    if not path and os.environ.get(CACHE_DIR_ENV):
-        path = os.path.join(os.environ[CACHE_DIR_ENV], f"{system.fingerprint}.json")
-    if not path:
+def _cache_path(system: CoxeterSystem) -> tuple[str | None, bool]:
+    # The KL cache file of this run, $COXKL_CACHE_DIR/<fingerprint>.json if that is set, and whether
+    # it exists.  One that exists but is no regular file, or lies under a non-directory, is a usage error.
+    if not (cache_dir := os.environ.get(CACHE_DIR_ENV)):
         return None, False
+    path = os.path.join(cache_dir, f"{system.fingerprint}.json")
     try:
         if stat.S_ISREG(os.stat(path).st_mode):
             return path, True
@@ -117,7 +116,7 @@ def run(args: argparse.Namespace) -> int:
     except CoxeterError as exc:
         raise UsageError(str(exc))
 
-    cache_path, cached = _cache_path(args, system)
+    cache_path, cached = _cache_path(system)
     algebra = HeckeAlgebra(system)
     loaded = False
     try:
@@ -141,7 +140,7 @@ def run(args: argparse.Namespace) -> int:
     # An accepted cache to which this run added no row is left as it is.
     if cache_path and (not loaded or algebra.computed_count):
         try:
-            os.makedirs(os.path.dirname(cache_path) or ".", exist_ok=True)
+            os.makedirs(os.path.dirname(cache_path), exist_ok=True)
             algebra.save_cache(cache_path)
         except OSError as exc:
             raise UsageError(f"cannot write cache {cache_path}: {exc}")
@@ -269,11 +268,11 @@ COMMANDS = tuple(_COMMANDS)
 def main(argv: list[str] | None = None) -> int:
     try:
         return run(build_parser().parse_args(argv))
-    except (argparse.ArgumentError, UsageError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:
-        # argparse still exits directly for some error paths (and for --help).
+        # Only --help exits here: every parse error raises UsageError above.
         return 0 if exc.code in (None, 0) else 1
 
 

@@ -16,9 +16,9 @@ by (length, word), and every other ordering in the package derives from that.
 
 Infinite matrices are rejected: the diagram is first checked against the
 classification of finite types (any diagram outside the catalog presents an
-infinite group).  The catalog order is compared with the element bound
-``DEFAULT_MAX_ELEMENTS``, read at each construction, before enumerating, and
-the enumeration enforces the bound again.
+infinite group).  The rank, then the catalog order, is compared with the
+element bound ``DEFAULT_MAX_ELEMENTS``, read at each construction, before
+enumerating, and the enumeration enforces the bound again.
 
 Matrix entries equal to 5 force golden-ratio arithmetic in the weight
 coordinates; scalars are therefore pairs (a, b) meaning a + b*phi with
@@ -199,13 +199,14 @@ def _classify_matrix(matrix: Sequence[Sequence[int]]) -> tuple[str, int] | None:
 
 def _builtin_matrix(code: str) -> list[list[int]]:
     code = code.strip().upper()
-    if len(code) < 2 or code[0] not in "ABDGFH" or not code[1:].isdigit():
+    if len(code) < 2 or code[0] not in "ABDGFH" or not code[1:].isdecimal():
         raise CoxeterError(f"unknown type code {code!r} (expected e.g. A3, B2, D4, G2, F4, H3)")
     letter, n = code[0], int(code[1:])
     mins = {"A": 1, "B": 2, "D": 2, "G": 2, "F": 4, "H": 3}
     fixed = {"G": 2, "F": 4, "H": 3}
     if n < mins[letter] or (letter in fixed and n != fixed[letter]):
         raise CoxeterError(f"unsupported rank for type {letter}: {code!r}")
+    _check_rank(n)
     m = [[3 if abs(i - j) == 1 else (1 if i == j else 2) for j in range(n)] for i in range(n)]
     if letter == "B":
         m[n - 2][n - 1] = m[n - 1][n - 2] = 4
@@ -222,6 +223,12 @@ def _builtin_matrix(code: str) -> list[list[int]]:
     elif letter == "H":
         m[0][1] = m[1][0] = 5
     return m
+
+
+def _check_rank(n: int) -> None:
+    # |W| = |W_J| |W^J| with |W^J| >= 2 for each generator, so a rank-n group has 2^n elements or more.
+    if n >= DEFAULT_MAX_ELEMENTS.bit_length():
+        raise InfiniteGroupError(f"rank {n} gives at least 2^{n} elements, above the element bound {DEFAULT_MAX_ELEMENTS}")
 
 
 def _default_names(rank: int) -> tuple[str, ...]:
@@ -281,6 +288,7 @@ class CoxeterSystem:
     ):
         self._matrix = self._validate_matrix(matrix)
         self.rank = len(self._matrix)
+        _check_rank(self.rank)
         self.generator_names = self._validate_names(names, self.rank)
         classified = _classify_matrix(self._matrix)
         if classified is None:
@@ -331,7 +339,7 @@ class CoxeterSystem:
         if len(out) != rank:
             raise CoxeterError(f"expected {rank} generator names, got {len(out)}")
         for name in out:
-            if not name or not isinstance(name, str) or name == "e" or "," in name or " " in name:
+            if not isinstance(name, str) or name in ("", "e") or "," in name or " " in name or not name.isprintable():
                 raise CoxeterError(f"bad generator name {name!r}")
         if len(set(out)) != rank:
             raise CoxeterError("generator names must be distinct")

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -38,6 +39,16 @@ def run_cli_err(args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = cli.main(args)
     return status, out.getvalue(), err.getvalue()
+
+
+def _cache_dir(monkeypatch, path, group):
+    """Make the directory path and point COXKL_CACHE_DIR at it; returns the KL
+    cache file that a run on --type group reads and writes there."""
+    from coxkl import CoxeterSystem
+
+    path.mkdir()
+    monkeypatch.setenv(cli.CACHE_DIR_ENV, str(path))
+    return path / f"{CoxeterSystem.from_type(group).fingerprint}.json"
 
 
 def _golden_argv(argv):
@@ -124,15 +135,44 @@ def test_usage_errors():
         ["--type", "Q7", "--cmd", "ih", "--x", "e"],  # bad type code
         ["--type", "A1", "--cmd", "equivariant", "--y", "e", "--x", "s", "--n-max", "-3"],  # bad n-max
         ["--matrix", "/nonexistent.json", "--cmd", "ih", "--x", "e"],  # missing matrix file
+        ["--type", "A2", "--cmd", "ih", "--x", "e", "--cache", "kl.json"],  # the retired cache flag
     ):
         status, out, err = run_cli_err(argv)
         assert (status, out) == (1, ""), argv
         assert err == golden[tuple(argv)], argv
 
 
+def test_parse_errors_are_one_usage_error_line(tmp_path, monkeypatch):
+    # Whatever argparse refuses is one "usage error:" line and status 1 on every
+    # Python, not argparse's usage block; --cache is refused and writes no file.
+    # A rank with 2^rank elements over the bound, and a rank that int() cannot
+    # read (a superscript digit), are refused before any work.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
+    for argv, message in (
+        (["--type", "A2", "--cmd", "ih", "--x", "e", "--cache", "kl.json"], "unrecognized arguments: --cache kl.json"),
+        (["--type", "A2", "--cmd", "ih", "--x", "e", "--bogus"], "unrecognized arguments: --bogus"),
+        (["--type", "A2", "--x", "e"], "the following arguments are required: --cmd"),
+        (["--type", "A2000", "--cmd", "ih", "--x", "e"],
+         "rank 2000 gives at least 2^2000 elements, above the element bound 10000000"),
+        (["--type", "A\u00b2", "--cmd", "ih", "--x", "e"],
+         "unknown type code 'A\u00b2' (expected e.g. A3, B2, D4, G2, F4, H3)"),
+    ):
+        assert run_cli_err(argv) == (1, "", f"usage error: {message}\n"), argv
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_readme_names_the_parser_options():
+    # The README's CLI section, up to the next "## " heading, names exactly the
+    # parser's options besides --help: no retired flag stays, no new one is left out.
+    text = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    options = {s for a in cli.build_parser()._actions for s in a.option_strings if s.startswith("--")}
+    assert set(re.findall(r"--[a-z][a-z-]*", text)) == options - {"--help"}
 
 
 def test_internal_inconsistency_exit_code(monkeypatch):
@@ -178,19 +218,19 @@ TAMPERED = [
 ]
 
 
-def test_tampered_cache_exits_2(tmp_path):
+def test_tampered_cache_exits_2(tmp_path, monkeypatch):
     # Loaded rows and the rows computed on top of them are checked alike:
     # exit 2, nothing on stdout, and the cache file is not rewritten.
     for i, (group, y, x, h, argv) in enumerate(TAMPERED):
-        path = _tampered_cache(tmp_path / f"kl-{i}.json", group, y, x, h)
+        path = _tampered_cache(_cache_dir(monkeypatch, tmp_path / f"cache-{i}", group), group, y, x, h)
         before = path.read_bytes()
-        status, out, err = run_cli_err(["--type", group, *argv, "--cache", str(path)])
+        status, out, err = run_cli_err(["--type", group, *argv])
         assert (status, out) == (2, ""), argv
         assert err.startswith("internal inconsistency: "), argv
         assert path.read_bytes() == before, argv
 
 
-def test_cache_pairs_that_save_cache_never_writes(tmp_path):
+def test_cache_pairs_that_save_cache_never_writes(tmp_path, monkeypatch):
     # The A2 table is saved with h_{e,sts} = v^3 as the last polynomial,
     # [[3,1]], and the row of sts as [5,[3,...]].  That polynomial with a
     # float, string or boolean pair, or a position that names no polynomial,
@@ -210,6 +250,7 @@ def test_cache_pairs_that_save_cache_never_writes(tmp_path):
     good = (tmp_path / "good.json").read_text()
     poly, row = ',[[3,1]]],"kl"', "[5,[3,2,2,1,1,0]]"
     assert poly in good and row in good and "[3,[2,1,1,0]]" in good
+    cache = _cache_dir(monkeypatch, tmp_path / "cache", "A2")
     for old, new, mismatched in [
         (poly, ',[[3.0,1]]],"kl"', True),
         (poly, ',[["3","1"]]],"kl"', True),
@@ -222,10 +263,9 @@ def test_cache_pairs_that_save_cache_never_writes(tmp_path):
         (row, f"{row},{row}", False),
         ("[3,[2,1,1,0]]", "[4,[2,1,1,0]]", False),  # ts, the orbit's smallest id is st
     ]:
-        cache = tmp_path / "kl.json"
         cache.write_text(good.replace(old, new))
         before = cache.read_text()
-        status, out, err = run_cli_err([*args, "--cache", str(cache)])
+        status, out, err = run_cli_err(args)
         if mismatched:
             assert (status, out, err) == (0, plain, f"warning: ignoring mismatched cache {cache}\n"), new
             assert cache.read_text() != before and HeckeAlgebra(W).load_cache(cache), new
@@ -235,12 +275,12 @@ def test_cache_pairs_that_save_cache_never_writes(tmp_path):
             assert cache.read_text() == before, new
 
 
-def test_tampered_cache_exits_2_under_python_O(tmp_path):
+def test_tampered_cache_exits_2_under_python_O(tmp_path, monkeypatch):
     # The KL guards are explicit checks, not asserts, so -O keeps them.
     group, y, x, h, argv = TAMPERED[2]
-    path = _tampered_cache(tmp_path / "kl.json", group, y, x, h)
+    _tampered_cache(_cache_dir(monkeypatch, tmp_path / "cache", group), group, y, x, h)
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "coxkl", "--type", group, *argv, "--cache", str(path)],
+        [sys.executable, "-O", "-m", "coxkl", "--type", group, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -297,6 +337,16 @@ def test_matrix_file_input(tmp_path):
     assert out == "1 + 2q + 2q^2 + 2q^3 + q^4\n"
 
 
+def test_unprintable_matrix_names_are_usage_errors(tmp_path):
+    # A matrix file naming a generator with a character that is not printable
+    # exits 1 with one usage error line and nothing on stdout.
+    for name in ("a\nb", "a\tb", "a\x00", "a\u2028b"):
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps({"rank": 2, "matrix": [[1, 3], [3, 1]], "names": [name, "c"]}))
+        status, out, err = run_cli_err(["--matrix", str(path), "--cmd", "andersen", "--format", "csv"])
+        assert (status, out, err) == (1, "", f"usage error: bad generator name {name!r}\n"), name
+
+
 def test_malformed_matrix_file_is_usage_error(tmp_path):
     # Matrix and names of the wrong shape, and a file that is not UTF-8, exit
     # 1 with a usage error, not a traceback.
@@ -324,9 +374,9 @@ def test_malformed_matrix_file_is_usage_error(tmp_path):
         assert "Traceback" not in proc.stderr, data
 
 
-def test_cache_warm_cold_identical(tmp_path):
-    cache = tmp_path / "kl-a3.json"
-    args = ["--type", "A3", "--cmd", "andersen", "--format", "json", "--cache", str(cache)]
+def test_cache_warm_cold_identical(tmp_path, monkeypatch):
+    cache = _cache_dir(monkeypatch, tmp_path / "cache", "A3")
+    args = ["--type", "A3", "--cmd", "andersen", "--format", "json"]
     status1, cold = run_cli(args)
     assert status1 == 0 and cache.exists()
     first_bytes = cache.read_bytes()
@@ -336,11 +386,11 @@ def test_cache_warm_cold_identical(tmp_path):
     assert cache.read_bytes() == first_bytes
 
 
-def test_cache_rewritten_only_when_changed(tmp_path):
+def test_cache_rewritten_only_when_changed(tmp_path, monkeypatch):
     # A command that computes new rows, or meets a mismatched cache, rewrites
     # the file; one that finds every row it needs leaves it untouched.
-    cache = tmp_path / "kl.json"
-    base = ["--type", "A3", "--cache", str(cache)]
+    cache = _cache_dir(monkeypatch, tmp_path / "cache", "A3")
+    base = ["--type", "A3"]
     past = 10**18
 
     def stamp():
@@ -363,15 +413,16 @@ def test_cache_rewritten_only_when_changed(tmp_path):
     assert cache.stat().st_mtime_ns != past and json.loads(cache.read_text())["schema"] == CACHE_SCHEMA
 
 
-def test_warm_ih_leaves_an_orbit_compact_cache_untouched(tmp_path):
+def test_warm_ih_leaves_an_orbit_compact_cache_untouched(tmp_path, monkeypatch):
     # The A4 cache lists one row per orbit of the symmetry group, 45 of the
     # 120; a warm ih on an x whose row is not listed reads it through G,
-    # computes nothing, and leaves the file's bytes and mtime as they were.
+    # computes nothing, leaves the file's bytes and mtime as they were, and
+    # prints what a run without a cache prints.
     from coxkl import CoxeterSystem
 
     W = CoxeterSystem.from_type("A4")
-    cache = tmp_path / "kl.json"
-    base = ["--type", "A4", "--cache", str(cache)]
+    cache = _cache_dir(monkeypatch, tmp_path / "cache", "A4")
+    base = ["--type", "A4"]
     assert run_cli([*base, "--cmd", "andersen"])[0] == 0
     listed = {xi for xi, _ in json.loads(cache.read_text())["kl"]}
     assert len(listed) == 45
@@ -380,8 +431,9 @@ def test_warm_ih_leaves_an_orbit_compact_cache_untouched(tmp_path):
     os.utime(cache, ns=(past, past))
     before = cache.read_bytes()
     status, warm = run_cli([*base, "--cmd", "ih", "--x", x])
-    assert (status, warm) == run_cli(["--type", "A4", "--cmd", "ih", "--x", x])
     assert (cache.read_bytes(), cache.stat().st_mtime_ns) == (before, past)
+    monkeypatch.delenv(cli.CACHE_DIR_ENV)
+    assert (status, warm) == run_cli(["--type", "A4", "--cmd", "ih", "--x", x])
 
 
 def test_cache_env_dir(tmp_path):
@@ -393,7 +445,7 @@ def test_cache_env_dir(tmp_path):
     assert len(files) == 1
 
 
-def test_cache_mismatch_is_warning(tmp_path):
+def test_cache_mismatch_is_warning(tmp_path, monkeypatch):
     # An unreadable cache, and a schema-1 or schema-2 file with the right
     # fingerprint, are ignored with a warning, never migrated, and rewritten
     # in the current schema.
@@ -405,42 +457,45 @@ def test_cache_mismatch_is_warning(tmp_path):
     fingerprint = CoxeterSystem.from_type("A2").fingerprint
     schema_1 = {"schema": 1, "coxeter_hash": fingerprint, "kl": {"e": {"e": [[0, 1]]}, "s": {"e": [[1, 1]], "s": [[0, 1]]}}}
     schema_2 = {"schema": 2, "coxeter_hash": fingerprint, "kl": [[0, [[0, [[0, 1]]]]], [1, [[0, [[1, 1]]], [1, [[0, 1]]]]]]}
+    cache = _cache_dir(monkeypatch, tmp_path / "cache", "A2")
     for text in ("{}", json.dumps(schema_1), json.dumps(schema_2)):
-        cache = tmp_path / "kl.json"
         cache.write_text(text)
-        status, out, err = run_cli_err([*args, "--cache", str(cache)])
+        status, out, err = run_cli_err(args)
         assert (status, out) == (0, plain), text
         assert err == f"warning: ignoring mismatched cache {cache}\n", text
         assert json.loads(cache.read_text())["schema"] == CACHE_SCHEMA == 3, text
 
 
 def test_cache_path_not_a_file_is_usage_error(tmp_path, monkeypatch):
-    # --cache naming a directory, or a path under a regular file, and
-    # COXKL_CACHE_DIR naming a regular file exit 1 before any work or output,
-    # with one usage error line, no traceback and no temp file: in a fresh
-    # interpreter and in this one.
+    # A cache file $COXKL_CACHE_DIR/<fingerprint>.json that is a directory, or
+    # COXKL_CACHE_DIR naming a path under a regular file or a regular file,
+    # exits 1 before any work or output, with one usage error line, no
+    # traceback and no temp file: in a fresh interpreter and in this one.
+    from coxkl import CoxeterSystem
+
     plain = tmp_path / "plain"
     plain.write_text("")
-    args = ["--type", "A2", "--cmd", "kl", "--y", "e", "--x", "s"]
+    (tmp_path / "cache" / f"{CoxeterSystem.from_type('A2').fingerprint}.json").mkdir(parents=True)
+    argv = ["--type", "A2", "--cmd", "kl", "--y", "e", "--x", "s"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop(cli.CACHE_DIR_ENV, None)
     monkeypatch.delenv(cli.CACHE_DIR_ENV, raising=False)
-    for argv, extra, why in (
-        ([*args, "--cache", str(tmp_path)], {}, "is not a regular file"),
-        ([*args, "--cache", str(plain / "kl.json")], {}, "Not a directory"),
-        (args, {cli.CACHE_DIR_ENV: str(plain)}, "Not a directory"),
+    for cache_dir, why in (
+        (tmp_path / "cache", "is not a regular file"),
+        (plain / "sub", "Not a directory"),
+        (plain, "Not a directory"),
     ):
         proc = subprocess.run(
-            [sys.executable, "-m", "coxkl", *argv], capture_output=True, text=True, env={**env, **extra}
+            [sys.executable, "-m", "coxkl", *argv], capture_output=True, text=True,
+            env={**env, cli.CACHE_DIR_ENV: str(cache_dir)},
         )
         with monkeypatch.context() as m:
-            for name, value in extra.items():
-                m.setenv(name, value)
-            assert run_cli_err(argv) == (proc.returncode, proc.stdout, proc.stderr), argv
-        assert (proc.returncode, proc.stdout) == (1, ""), argv
-        assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, argv
-        assert "Traceback" not in proc.stderr and proc.stderr.endswith(f"{why}\n"), argv
-        assert not [*tmp_path.parent.glob("*.tmp"), *tmp_path.glob("*.tmp")], argv
+            m.setenv(cli.CACHE_DIR_ENV, str(cache_dir))
+            assert run_cli_err(argv) == (proc.returncode, proc.stdout, proc.stderr), cache_dir
+        assert (proc.returncode, proc.stdout) == (1, ""), cache_dir
+        assert proc.stderr.startswith("usage error: ") and proc.stderr.count("\n") == 1, cache_dir
+        assert "Traceback" not in proc.stderr and proc.stderr.endswith(f"{why}\n"), cache_dir
+        assert not [*tmp_path.parent.glob("*.tmp"), *tmp_path.rglob("*.tmp")], cache_dir
     assert plain.read_text() == ""
 
 
@@ -450,8 +505,8 @@ def test_cache_write_error_is_usage_error(tmp_path, monkeypatch):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli.HeckeAlgebra, "save_cache", full)
-    cache = tmp_path / "kl.json"
-    status, out, err = run_cli_err(["--type", "A2", "--cmd", "h", "--y", "e", "--x", "s", "--cache", str(cache)])
+    cache = _cache_dir(monkeypatch, tmp_path / "cache", "A2")
+    status, out, err = run_cli_err(["--type", "A2", "--cmd", "h", "--y", "e", "--x", "s"])
     assert (status, out) == (1, "h(e, s) = v\n")
     assert err == f"usage error: cannot write cache {cache}: [Errno 28] No space left on device\n"
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,35 @@ def test_element_bound_checked_before_enumerating(monkeypatch):
     monkeypatch.setattr(coxeter, "DEFAULT_MAX_ELEMENTS", 1000)
     with pytest.raises(InfiniteGroupError):
         CoxeterSystem.from_type("F4")
+
+
+def test_rank_bound_checked_before_classifying(monkeypatch):
+    # A rank-r group has at least 2^r elements, so a rank with 2^r over the
+    # bound is refused before the O(r^3) classification, and a type code
+    # before its r^2 matrix is built; the bound is read at construction.
+    def components(matrix):
+        pytest.fail("classified a matrix whose rank alone is above the bound")
+
+    monkeypatch.setattr(coxeter, "_components", components)
+    for build in (
+        lambda: CoxeterSystem.from_type("A24"),
+        lambda: CoxeterSystem([[1 if i == j else 2 for j in range(24)] for i in range(24)]),
+    ):
+        with pytest.raises(InfiniteGroupError, match="above the element bound 10000000"):
+            build()
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfiniteGroupError, match="rank 2000 gives"):
+            CoxeterSystem.from_type("A2000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6  # A2000's matrix alone would take 32 MB
+    coxeter._check_rank(23)
+    monkeypatch.setattr(coxeter, "DEFAULT_MAX_ELEMENTS", 1000)
+    with pytest.raises(InfiniteGroupError, match="rank 10 gives at least 2\\^10 elements"):
+        CoxeterSystem.from_type("B10")
+    coxeter._check_rank(9)
 
 
 def test_json_input(tmp_path):
@@ -497,6 +527,14 @@ def test_parse_needs_backtracking():
 def test_ambiguous_names_rejected():
     with pytest.raises(CoxeterError):
         CoxeterSystem([[1, 3, 2], [3, 1, 3], [2, 3, 1]], names=["a", "ab", "b"])
+
+
+def test_unprintable_names_rejected():
+    # A name that is not printable would break the line, or the csv row, of
+    # every label that holds it (test_lefschetz.py keeps "\u03c3", 'b"' and "c\\").
+    for name in ("a\nb", "a\tb", "a\x00", "a\u2028b"):
+        with pytest.raises(CoxeterError, match="bad generator name"):
+            CoxeterSystem([[1, 3], [3, 1]], names=[name, "c"])
 
 
 def _chain_matrix(bonds):
